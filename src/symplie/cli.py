@@ -187,7 +187,9 @@ def _cmd_reduce(args) -> int:
         pairs = tower_pairs(steps)
         doc = tower_to_document(pairs)
         if args.out:
-            _emit(algebra_to_document(steps[-1].base), args.out)
+            # a dim-0 input has an empty tower and is its own base
+            base = steps[-1].base if steps else s
+            _emit(algebra_to_document(base), args.out)
         _emit(doc, args.pair_out)
         print(f"reduced {label} to dimension 0 in {len(steps)} step(s)",
               file=sys.stderr)

@@ -361,12 +361,12 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     b0 = tuple(Q(3) * x for x in last[1:1 + n])
     pair = AdmissiblePair(xi, b0)
 
-    report = check_admissible(base, xi, b0)
-    if not report.admissible:
+    try:
+        rebuilt = double_extend(base, pair)
+    except NotAdmissibleError as exc:
         raise ExtensionInvariantError(
             "recovered pair is not admissible; failed: "
-            + ", ".join(report.failed_names()))
-    rebuilt = double_extend(base, pair)
+            + ", ".join(exc.report.failed_names())) from exc
     if (rebuilt.algebra.table != adapted.algebra.table
             or rebuilt.form.matrix != adapted.form.matrix):
         raise ExtensionInvariantError("rebuilt extension differs from input")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
-from .linalg import (Matrix, Subspace, Vec, is_zero_vector, kernel,
+from .linalg import (Matrix, Subspace, Vec, inverse, is_zero_vector, kernel,
                      unit_vector, vadd, vector, vscale, zero_vector)
 from .rationals import ZERO, as_q
 
@@ -215,8 +215,6 @@ class LieAlgebra:
 
     def change_of_basis(self, t: Matrix, names: Sequence[str] | None = None) -> "LieAlgebra":
         """Structure constants in the basis given by the columns of t."""
-        from .linalg import inverse  # local import keeps module deps one-way
-
         n = self.dim
         if t.shape != (n, n):
             raise ValueError("change of basis matrix has wrong shape")

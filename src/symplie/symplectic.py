@@ -263,7 +263,7 @@ class FlatnessChecks(NamedTuple):
     curvature_vanishes: bool
     right_form_vanishes: bool
     left_symmetric: bool
-    witness: Optional[tuple]  # a violating pair or triple when not flat
+    witness: Optional[tuple]  # the first pair (i, j) with nonzero curvature
 
     @property
     def is_flat(self) -> bool:
@@ -330,57 +330,41 @@ class SymplecticLieAlgebra:
     # -- flatness -----------------------------------------------------------
 
     @cached_property
+    def curvature_witness(self) -> Optional[tuple]:
+        """The first basis pair (i, j), i < j, where the canonical product
+        has nonzero curvature, or None when it is flat."""
+        p = self.canonical_product
+        table = self.algebra.table
+        bad = lie_admissibility_failure(p, table)
+        if bad is not None:
+            raise FlatnessInvariantError(
+                f"canonical product is not Lie-admissible at {bad}")
+        return first_curvature_violation(p, table)
+
+    @property
+    def is_flat(self) -> bool:
+        return self.curvature_witness is None
+
+    @cached_property
     def flatness(self) -> FlatnessChecks:
+        """All three criteria, cross-checked; :attr:`is_flat` needs only
+        the curvature one."""
+        witness = self.curvature_witness
+        curvature_ok = witness is None
         p = self.canonical_product
         n = self.dim
-        table = self.algebra.table
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = tuple(a - b for a, b in zip(p.table[i][j], p.table[j][i]))
-                if diff != table[i][j]:
-                    raise FlatnessInvariantError(
-                        f"canonical product is not Lie-admissible at ({i}, {j})")
         lefts = [p.left(unit_vector(n, i)) for i in range(n)]
         rights = [p.right(unit_vector(n, i)) for i in range(n)]
-
-        witness = None
-        curvature_ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                lb = p.left(table[i][j])
-                if lb - commutator(lefts[i], lefts[j]) != Matrix.zeros(n, n):
-                    curvature_ok = False
-                    witness = (i, j)
-                    break
-            if not curvature_ok:
-                break
-
-        right_ok = True
-        for i in range(n):
-            for j in range(n):
-                lhs = p.right(p.table[i][j]) - (rights[j] @ rights[i])
-                if lhs != commutator(lefts[i], rights[j]):
-                    right_ok = False
-                    if witness is None:
-                        witness = (i, j)
-                    break
-            if not right_ok:
-                break
-
-        violations = p.left_symmetry_violations()
-        left_sym = not violations
-        if witness is None and violations:
-            witness = violations[0]
-
+        right_ok = all(
+            p.right(p.table[i][j]) - (rights[j] @ rights[i])
+            == commutator(lefts[i], rights[j])
+            for i in range(n) for j in range(n))
+        left_sym = not p.left_symmetry_violations()
         if not (curvature_ok == right_ok == left_sym):
             raise FlatnessInvariantError(
                 f"flatness criteria disagree: curvature={curvature_ok}, "
                 f"right-form={right_ok}, left-symmetry={left_sym}")
         return FlatnessChecks(curvature_ok, right_ok, left_sym, witness)
-
-    @property
-    def is_flat(self) -> bool:
-        return self.flatness.is_flat
 
     # -- delegated structure -------------------------------------------------
 
@@ -399,6 +383,48 @@ class SymplecticLieAlgebra:
         return perp(self, f)
 
 
+def lie_admissibility_failure(product: ProductTensor, table) -> Optional[tuple]:
+    """The first basis pair (i, j), i < j, where e_i o e_j - e_j o e_i
+    differs from the bracket table entry, or None."""
+    n = product.dim
+    p = product.table
+    for i in range(n):
+        for j in range(i + 1, n):
+            if tuple(a - b for a, b in zip(p[i][j], p[j][i])) != table[i][j]:
+                return (i, j)
+    return None
+
+
+def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
+    """The first basis pair (i, j), i < j, in row-major order with
+    L_[ei,ej] e_m != (L_ei L_ej - L_ej L_ei) e_m for some m, or None.
+
+    Works on the nonzero entries of the product table only and stops at
+    the first nonzero residual vector.
+    """
+    n = product.dim
+    # nz[a][m]: the nonzero (k, c) of e_a o e_m
+    nz = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
+          for row in product.table]
+    for i in range(n):
+        left_i = nz[i]
+        for j in range(i + 1, n):
+            left_j = nz[j]
+            bracket = [(a, c) for a, c in enumerate(table[i][j]) if c]
+            for m in range(n):
+                terms = ([(c, nz[a][m]) for a, c in bracket]
+                         + [(-c, left_i[k]) for k, c in left_j[m]]
+                         + [(c, left_j[k]) for k, c in left_i[m]])
+                acc = {}
+                for c, row in terms:
+                    for k, d in row:
+                        t = c * d
+                        acc[k] = acc[k] + t if k in acc else t
+                if any(acc.values()):
+                    return (i, j)
+    return None
+
+
 def curvature_residuals(product: ProductTensor, algebra: LieAlgebra) -> dict:
     """{(i, j): L_[ei,ej] - [L_ei, L_ej]} for i < j; all zero means flat.
 
@@ -409,13 +435,10 @@ def curvature_residuals(product: ProductTensor, algebra: LieAlgebra) -> dict:
     n = algebra.dim
     if product.dim != n:
         raise ValueError("product dimension mismatch")
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = tuple(a - b for a, b in
-                         zip(product.table[i][j], product.table[j][i]))
-            if diff != algebra.table[i][j]:
-                raise NotLieAdmissibleError(
-                    f"product commutator differs from bracket at ({i}, {j})")
+    bad = lie_admissibility_failure(product, algebra.table)
+    if bad is not None:
+        raise NotLieAdmissibleError(
+            f"product commutator differs from bracket at {bad}")
     lefts = [product.left(unit_vector(n, i)) for i in range(n)]
     out = {}
     for i in range(n):

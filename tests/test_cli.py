@@ -246,6 +246,16 @@ class TestReduce:
         doc = parse_document(tower_path.read_text())
         assert [step["base_dim"] for step in doc["steps"]] == [0, 2, 4]
 
+    def test_auto_on_dimension_zero(self, capsys, tmp_path):
+        base_path = tmp_path / "base.json"
+        rc, out, err = run(capsys, "reduce", "--catalog", "zero", "--auto",
+                           "--out", str(base_path))
+        assert rc == 0
+        assert "reduced zero to dimension 0 in 0 step(s)" in err
+        assert parse_document(out) == {"steps": []}
+        base = parse_document(base_path.read_text())
+        assert base["dim"] == 0 and base["basis"] == []
+
     def test_auto_then_rebuild_pipeline(self, capsys, tmp_path):
         # reduce to a tower, then re-extend stage by stage and classify
         tower_path = tmp_path / "tower.json"

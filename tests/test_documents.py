@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from symplie.documents import (DocumentError, algebra_to_document,
@@ -60,6 +63,26 @@ class TestAlgebraDocuments:
         document_to_parts(doc)  # structurally fine
         with pytest.raises(InvalidSymplecticError):
             document_to_algebra(doc)  # but not closed
+
+
+class TestReadmeDocuments:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def json_blocks(self):
+        text = self.README.read_text()
+        return re.findall(r"```json\n(.*?)```", text, re.S)
+
+    def test_every_example_parses(self):
+        blocks = self.json_blocks()
+        assert len(blocks) >= 2
+        for block in blocks:
+            document_to_algebra(parse_document(block))
+
+    def test_bracket_example(self):
+        block = next(b for b in self.json_blocks() if '"value": {' in b)
+        s, _ = document_to_algebra(parse_document(block))
+        assert s.algebra.bracket_basis(0, 1) == (Q(0), Q(0), Q(1), Q(0))
+        assert s.is_flat
 
 
 class TestAlgebraDocumentErrors:
