@@ -9,7 +9,6 @@ admissible, class unknown).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -138,10 +137,7 @@ def _parse_xi(raw: str, n: int) -> Matrix:
     if raw == "zero":
         return Matrix.zeros(n, n)
     text = raw if raw.lstrip().startswith("[") else Path(raw).read_text()
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--xi is neither 'zero', inline JSON, nor a JSON file: {exc}")
+    rows = parse_document(text)
     if not isinstance(rows, list) or len(rows) != n \
             or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise ValueError(f"--xi must be a {n}x{n} array")

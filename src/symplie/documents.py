@@ -235,3 +235,5 @@ def parse_document(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None

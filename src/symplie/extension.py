@@ -17,9 +17,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, Vec, commutator, solve,
-                     subspace_intersect, subspace_sum, unit_vector, vector,
-                     zero_vector)
+from .linalg import (Matrix, Subspace, Vec, commutator, inverse, solve,
+                     subspace_intersect, subspace_sum, unit_vector, vector)
 from .rationals import ONE, THIRD, ZERO, Q
 from .symplectic import (InvalidSymplecticError, SkewForm, SubspaceClass,
                          SymplecticLieAlgebra, change_of_basis,
@@ -158,6 +157,24 @@ def _embed(v: Sequence, n: int) -> list:
     return [ZERO] + list(v) + [ZERO]
 
 
+def _bordered(w: Matrix, corners) -> Matrix:
+    """w as the middle block of the [e, base..., ebar] layout.
+
+    corners ((a, b), (c, d)) are the entries at (e, e), (e, ebar),
+    (ebar, e) and (ebar, ebar); the rest of the border is zero.
+    """
+    (a, b), (c, d) = corners
+    zero = (ZERO,) * w.cols
+    return Matrix.from_rows([(a,) + zero + (b,)]
+                            + [(ZERO,) + row + (ZERO,) for row in w.entries]
+                            + [(c,) + zero + (d,)])
+
+
+def _middle_block(m: Matrix) -> Matrix:
+    """The base block of a matrix in the [e, base..., ebar] layout."""
+    return Matrix.from_rows([row[1:-1] for row in m.entries[1:-1]])
+
+
 def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
                               b0: Sequence) -> SymplecticLieAlgebra:
     """Assemble the extension data without any admissibility checking.
@@ -182,33 +199,24 @@ def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
     entries = {}
     # base x base: [a, b] = [a, b]_B + omega_B((xi + xi*)(a), b) e
     for p in range(n):
+        sym_p = form_b.covector(sym.col(p))
         for q in range(p + 1, n):
             vec = _embed(base.algebra.table[p][q], n)
-            vec[0] += form_b.pair(sym.col(p), unit_vector(n, q))
+            vec[0] += sym_p[q]
             coeffs = {k: c for k, c in enumerate(vec) if c}
             if coeffs:
                 entries[(1 + p, 1 + q)] = coeffs
     # base x ebar: [a, ebar] = -[ebar, a] = (2 xi - xi*)(a) - omega_B(b0, a) e
+    b0_cov = form_b.covector(b0)
     for p in range(n):
         vec = _embed(tuple(-x for x in d.col(p)), n)
-        vec[0] -= form_b.pair(b0, unit_vector(n, p))
+        vec[0] -= b0_cov[p]
         coeffs = {k: c for k, c in enumerate(vec) if c}
         if coeffs:
             entries[(1 + p, n + 1)] = coeffs
     algebra = LieAlgebra.from_sparse(names, entries)
-
-    rows = []
-    for r in range(n + 2):
-        row = [ZERO] * (n + 2)
-        if r == 0:
-            row[n + 1] = ONE
-        elif r == n + 1:
-            row[0] = -ONE
-        else:
-            for c in range(n):
-                row[1 + c] = form_b.matrix.entry(r - 1, c)
-        rows.append(row)
-    return SymplecticLieAlgebra(algebra, SkewForm(Matrix.from_rows(rows)))
+    form = _bordered(form_b.matrix, ((ZERO, ONE), (-ONE, ZERO)))
+    return SymplecticLieAlgebra(algebra, SkewForm(form))
 
 
 def double_extend(base: SymplecticLieAlgebra,
@@ -248,13 +256,14 @@ def double_extend(base: SymplecticLieAlgebra,
             raise ExtensionInvariantError(
                 f"product formula violated at ({i}, {j})")
 
+    b0_cov = form_b.covector(pair.b0)
     for p in range(n):
-        a = unit_vector(n, p)
+        xi_p = form_b.covector(xi.col(p))
         for q in range(n):
             want = _embed(p_base.table[p][q], n)
-            want[0] += form_b.pair(xi.col(p), unit_vector(n, q))
+            want[0] += xi_p[q]
             expect(1 + p, 1 + q, want)
-        pairing = form_b.pair(pair.b0, a)
+        pairing = b0_cov[p]
         want = _embed(skew.col(p), n)
         want[0] += THIRD * pairing
         expect(n + 1, 1 + p, want)
@@ -325,9 +334,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     adapted = change_of_basis(s, t, names)
 
     # base form is the middle block; the corners are fixed by construction
-    fm = adapted.form.matrix
-    base_form = SkewForm(Matrix.from_rows(
-        [tuple(fm.entry(1 + r, 1 + c) for c in range(n)) for r in range(n)]))
+    base_form = SkewForm(_middle_block(adapted.form.matrix))
     entries = {}
     for p in range(n):
         for q in range(p + 1, n):
@@ -459,23 +466,6 @@ def reduction_tower(s: SymplecticLieAlgebra) -> list:
     return steps
 
 
-def _extension_block(w: Matrix) -> Matrix:
-    """diag(1, w, 1) in the [e, base..., ebar] coordinate layout."""
-    n = w.rows
-    rows = []
-    for r in range(n + 2):
-        row = [ZERO] * (n + 2)
-        if r == 0:
-            row[0] = ONE
-        elif r == n + 1:
-            row[n + 1] = ONE
-        else:
-            for c in range(n):
-                row[1 + c] = w.entry(r - 1, c)
-        rows.append(row)
-    return Matrix.from_rows(rows)
-
-
 def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
     """Rewrite tower pairs into composable coordinates.
 
@@ -488,8 +478,6 @@ def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
 
     entry for entry.
     """
-    from .linalg import inverse
-
     pairs = []
     w = Matrix.identity(0)
     for step in reversed(steps):
@@ -500,7 +488,8 @@ def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
         else:
             xi, b0 = step.pair.xi, step.pair.b0
         pairs.append(AdmissiblePair(xi, b0))
-        w = step.transform @ _extension_block(w)
+        # diag(1, w, 1) in the [e, base..., ebar] layout
+        w = step.transform @ _bordered(w, ((ONE, ZERO), (ZERO, ONE)))
     return pairs, w
 
 

@@ -4,17 +4,19 @@ A :class:`LieAlgebra` stores the full antisymmetric bracket table
 ``table[i][j] = [e_i, e_j]`` as coordinate tuples.  Constructors accept
 only the ``i < j`` half and fill in the rest, so antisymmetry holds by
 construction; the Jacobi identity is the only axiom left to check.
+Brackets are evaluated by a :class:`ProductTensor` over the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
-from .linalg import (Matrix, Subspace, Vec, inverse, is_zero_vector, kernel,
-                     unit_vector, vadd, vector, vscale, zero_vector)
-from .rationals import ZERO, as_q
+from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel,
+                     inverse, is_zero_vector, unit_vector)
+from .rationals import as_q
 
 
 class InvalidLieAlgebraError(SymplieError):
@@ -51,18 +53,18 @@ class LieAlgebra:
         """Build from ``{(i, j): {k: coeff}}`` with ``i < j`` (0-based)."""
         names = tuple(names)
         n = len(names)
-        rows = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
+        entries = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-            vec = [ZERO] * n
+            vec = {}
             for k, c in coeffs.items():
                 if not 0 <= k < n:
                     raise ValueError(f"bracket value index {k} out of range")
                 vec[k] = as_q(c)
-            rows[i][j] = tuple(vec)
-            rows[j][i] = tuple(-x for x in vec)
-        return cls(names, tuple(tuple(r) for r in rows))
+            entries[(i, j)] = vec
+            entries[(j, i)] = {k: -c for k, c in vec.items()}
+        return cls(names, ProductTensor.from_sparse(n, entries).table)
 
     @property
     def dim(self) -> int:
@@ -70,56 +72,34 @@ class LieAlgebra:
 
     # -- brackets ------------------------------------------------------------
 
+    @cached_property
+    def bracket_tensor(self) -> ProductTensor:
+        """The bracket as a product tensor over this very table."""
+        return ProductTensor(self.dim, self.table)
+
     def bracket_basis(self, i: int, j: int) -> Vec:
         return self.table[i][j]
 
     def bracket(self, u: Sequence, v: Sequence) -> Vec:
-        u, v = vector(u), vector(v)
-        n = self.dim
-        acc = [ZERO] * n
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                w = row[j]
-                c = ui * vj
-                for k, wk in enumerate(w):
-                    if wk:
-                        acc[k] += c * wk
-        return tuple(acc)
+        return self.bracket_tensor.apply(u, v)
 
     def ad(self, u: Sequence) -> Matrix:
         """Matrix of x -> [u, x]."""
-        u = vector(u)
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = [ZERO] * n
-            for i, ui in enumerate(u):
-                if not ui:
-                    continue
-                w = self.table[i][j]
-                for k, wk in enumerate(w):
-                    if wk:
-                        col[k] += ui * wk
-            cols.append(tuple(col))
-        return Matrix.from_cols(cols) if cols else Matrix.zeros(n, 0)
+        return self.bracket_tensor.left(u)
 
     # -- axioms ---------------------------------------------------------------
 
     def validate(self) -> tuple:
         """All Jacobi violations on basis triples i < j < k (empty = valid)."""
         n = self.dim
+        t = self.table
         out = []
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    res = vadd(vadd(self._bv(self.table[i][j], k),
-                                    self._bv(self.table[j][k], i)),
-                               self._bv(self.table[k][i], j))
+                    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+                    res = self.bracket_tensor.left_sum(
+                        ((t[i][j], k), (t[j][k], i), (t[k][i], j)))
                     if not is_zero_vector(res):
                         out.append(JacobiViolation((i, j, k), res))
         return tuple(out)
@@ -130,32 +110,12 @@ class LieAlgebra:
             raise InvalidLieAlgebraError(violations)
         return self
 
-    def _bv(self, v: Vec, k: int) -> Vec:
-        """[v, e_k] for a coordinate vector v."""
-        n = self.dim
-        acc = [ZERO] * n
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            w = self.table[i][k]
-            for m, wm in enumerate(w):
-                if wm:
-                    acc[m] += vi * wm
-        return tuple(acc)
-
     # -- classical invariants ---------------------------------------------------
 
     def center(self) -> Subspace:
         """{u : [u, x] = 0 for all x}, the intersection of ad kernels."""
-        n = self.dim
-        if n == 0:
-            return Subspace.zero(0)
-        rows = []
-        for j in range(n):
-            # map u -> [u, e_j]; its matrix has column i equal to table[i][j]
-            for r in range(n):
-                rows.append(tuple(self.table[i][j][r] for i in range(n)))
-        return kernel(Matrix.from_rows(rows))
+        # ad_u = sum_i u_i ad_{e_i}, and table[i] lists the columns of ad_{e_i}
+        return common_kernel(self.table, self.dim)
 
     def derived_subspace(self) -> Subspace:
         gens = [self.table[i][j] for i in range(self.dim)

@@ -3,7 +3,9 @@
 Matrices are immutable row-major grids of exact rationals.  Subspaces
 are stored in reduced column echelon form with strictly increasing
 pivot rows, so two equal subspaces always carry identical basis
-matrices and compare equal as plain values.
+matrices and compare equal as plain values.  Bilinear products (the Lie
+bracket and the canonical product alike) are :class:`ProductTensor`
+tables contracted by the one loop in :func:`accumulate`.
 
 Every elimination pivots on the first nonzero candidate in row-major
 order; there is no scoring or heuristics, which keeps all derived data
@@ -13,6 +15,7 @@ order; there is no scoring or heuristics, which keeps all derived data
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import SymplieError
@@ -73,6 +76,23 @@ def vdot(a: Vec, b: Vec):
 
 def is_zero_vector(a: Vec) -> bool:
     return not any(a)
+
+
+def accumulate(acc: list, coeffs: Sequence, vectors: Sequence, scale=None) -> list:
+    """acc += sum_i scale * coeffs[i] * vectors[i] in place, skipping zeros.
+
+    The one bilinear contraction: products, brackets, matrix products
+    and pairings with basis vectors are all weighted sums of this kind.
+    """
+    for c, w in zip(coeffs, vectors):
+        if not c:
+            continue
+        if scale is not None:
+            c = scale * c
+        for k, wk in enumerate(w):
+            if wk:
+                acc[k] += c * wk
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +188,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        ocols = other.entries
-        out = []
-        for row in self.entries:
-            acc = [ZERO] * other.cols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = ocols[k]
-                for j, b in enumerate(orow):
-                    if b:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out))
+        # each row of the product weights the rows of other by a row of self
+        return Matrix(self.rows, other.cols,
+                      tuple(tuple(accumulate([ZERO] * other.cols, row, other.entries))
+                            for row in self.entries))
 
     def apply(self, v: Sequence) -> Vec:
         """Matrix times column vector."""
@@ -321,6 +332,21 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.span(m.cols, gens)
 
 
+def common_kernel(maps: Sequence, n: int) -> "Subspace":
+    """{u in Q^n : sum_i u_i maps[i] = 0} as a canonical subspace.
+
+    Each maps[i] is a nonempty grid (a sequence of equal-length
+    vectors), so a family of matrices, bracket-table rows or
+    product-table columns all fit; entry (a, b) of the grids is one
+    equation.  The result is canonical, so the order of the equations
+    cannot change it.
+    """
+    if n == 0:
+        return Subspace.zero(0)
+    rows = list(zip(*[[x for cells in m for x in cells] for m in maps]))
+    return kernel(Matrix.from_rows(rows))
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -414,16 +440,101 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
     stacked = a.basis.hstack(-b.basis)
-    gens = []
-    for k in kernel(stacked).columns():
-        coeffs = k[:a.dim]
-        vec = [ZERO] * n
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            col = a.basis.col(j)
-            for i in range(n):
-                if col[i]:
-                    vec[i] += c * col[i]
-        gens.append(tuple(vec))
+    cols = a.basis.columns()
+    gens = [accumulate([ZERO] * n, k[:a.dim], cols)
+            for k in kernel(stacked).columns()]
     return Subspace.span(n, gens)
+
+
+# ---------------------------------------------------------------------------
+# bilinear product tensors
+
+@dataclass(frozen=True)
+class ProductTensor:
+    """A bilinear product on Q^dim: table[i][j] = e_i o e_j."""
+
+    dim: int
+    table: tuple
+
+    def __post_init__(self):
+        if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
+            raise ValueError("product table shape mismatch")
+
+    @classmethod
+    def from_sparse(cls, dim: int, entries) -> "ProductTensor":
+        rows = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+        for (i, j), coeffs in entries.items():
+            vec = [ZERO] * dim
+            for k, c in coeffs.items():
+                vec[k] = as_q(c)
+            rows[i][j] = tuple(vec)
+        return cls(dim, tuple(tuple(r) for r in rows))
+
+    @cached_property
+    def columns(self) -> tuple:
+        """columns[j][i] = e_i o e_j: the same cells, read down a column."""
+        return tuple(zip(*self.table))
+
+    def basis_product(self, i: int, j: int) -> Vec:
+        return self.table[i][j]
+
+    def apply(self, u: Sequence, v: Sequence) -> Vec:
+        u, v = vector(u), vector(v)
+        acc = [ZERO] * self.dim
+        for ui, row in zip(u, self.table):
+            if ui:
+                accumulate(acc, v, row, ui)
+        return tuple(acc)
+
+    def left_sum(self, terms) -> Vec:
+        """The sum of u o e_j over the pairs (u, j) in terms."""
+        acc = [ZERO] * self.dim
+        for u, j in terms:
+            accumulate(acc, u, self.columns[j])
+        return tuple(acc)
+
+    def _operator(self, u: Sequence, grid) -> Matrix:
+        """The matrix with column j equal to sum_i u_i grid[j][i]."""
+        u = vector(u)
+        cols = [tuple(accumulate([ZERO] * self.dim, u, cells)) for cells in grid]
+        return Matrix.from_cols(cols) if cols else Matrix.zeros(self.dim, 0)
+
+    def left(self, u: Sequence) -> Matrix:
+        """L_u : x -> u o x."""
+        return self._operator(u, self.columns)
+
+    def right(self, u: Sequence) -> Matrix:
+        """R_u : x -> x o u."""
+        return self._operator(u, self.table)
+
+    def associator_basis(self, i: int, j: int, k: int) -> Vec:
+        """(e_i o e_j) o e_k - e_i o (e_j o e_k)."""
+        n = self.dim
+        first = self.apply(self.table[i][j], unit_vector(n, k))
+        second = self.apply(unit_vector(n, i), self.table[j][k])
+        return tuple(a - b for a, b in zip(first, second))
+
+    def left_symmetry_violations(self) -> tuple:
+        """Basis triples (i, j, k), i < j, where ass(i,j,k) != ass(j,i,k)."""
+        out = []
+        n = self.dim
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    a = self.associator_basis(i, j, k)
+                    b = self.associator_basis(j, i, k)
+                    if a != b:
+                        out.append((i, j, k))
+        return tuple(out)
+
+    def is_associative(self) -> bool:
+        n = self.dim
+        return all(is_zero_vector(self.associator_basis(i, j, k))
+                   for i in range(n) for j in range(n) for k in range(n))
+
+    def is_zero(self) -> bool:
+        return all(is_zero_vector(v) for row in self.table for v in row)
+
+    def product_span(self) -> Subspace:
+        gens = [v for row in self.table for v in row]
+        return Subspace.span(self.dim, gens)

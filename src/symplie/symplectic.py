@@ -27,10 +27,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, Vec, commutator, inverse,
-                     is_zero_vector, kernel, rank, subspace_intersect,
-                     unit_vector, vdot, vector, zero_vector)
-from .rationals import ONE, THIRD, ZERO, Q, as_q
+# ProductTensor is defined in linalg and re-exported from here
+from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
+                     common_kernel, commutator, inverse, is_zero_vector,
+                     kernel, rank, subspace_intersect, unit_vector, vdot,
+                     vector)
+from .rationals import THIRD, ZERO, Q
 
 
 class InvalidSymplecticError(SymplieError):
@@ -71,6 +73,10 @@ class SkewForm:
     def pair(self, u: Sequence, v: Sequence):
         return vdot(vector(u), self.matrix.apply(vector(v)))
 
+    def covector(self, u: Sequence) -> Vec:
+        """(omega(u, e_k))_k, one row combination of the Gram matrix."""
+        return tuple(accumulate([ZERO] * self.dim, vector(u), self.matrix.entries))
+
     def is_skew(self) -> bool:
         m = self.matrix
         return all(m.entry(i, j) == -m.entry(j, i)
@@ -110,116 +116,6 @@ class SubspaceClass(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# bilinear product tensors
-
-@dataclass(frozen=True)
-class ProductTensor:
-    """A bilinear product on Q^dim: table[i][j] = e_i o e_j."""
-
-    dim: int
-    table: tuple
-
-    def __post_init__(self):
-        if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
-            raise ValueError("product table shape mismatch")
-
-    @classmethod
-    def from_sparse(cls, dim: int, entries) -> "ProductTensor":
-        rows = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), coeffs in entries.items():
-            vec = [ZERO] * dim
-            for k, c in coeffs.items():
-                vec[k] = as_q(c)
-            rows[i][j] = tuple(vec)
-        return cls(dim, tuple(tuple(r) for r in rows))
-
-    def basis_product(self, i: int, j: int) -> Vec:
-        return self.table[i][j]
-
-    def apply(self, u: Sequence, v: Sequence) -> Vec:
-        u, v = vector(u), vector(v)
-        acc = [ZERO] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                w = row[j]
-                for k, wk in enumerate(w):
-                    if wk:
-                        acc[k] += c * wk
-        return tuple(acc)
-
-    def left(self, u: Sequence) -> Matrix:
-        """L_u : x -> u o x."""
-        u = vector(u)
-        cols = []
-        for j in range(self.dim):
-            col = [ZERO] * self.dim
-            for i, ui in enumerate(u):
-                if not ui:
-                    continue
-                w = self.table[i][j]
-                for k, wk in enumerate(w):
-                    if wk:
-                        col[k] += ui * wk
-            cols.append(tuple(col))
-        return Matrix.from_cols(cols) if cols else Matrix.zeros(self.dim, 0)
-
-    def right(self, u: Sequence) -> Matrix:
-        """R_u : x -> x o u."""
-        u = vector(u)
-        cols = []
-        for j in range(self.dim):
-            col = [ZERO] * self.dim
-            row = self.table[j]
-            for i, ui in enumerate(u):
-                if not ui:
-                    continue
-                w = row[i]
-                for k, wk in enumerate(w):
-                    if wk:
-                        col[k] += ui * wk
-            cols.append(tuple(col))
-        return Matrix.from_cols(cols) if cols else Matrix.zeros(self.dim, 0)
-
-    def associator_basis(self, i: int, j: int, k: int) -> Vec:
-        """(e_i o e_j) o e_k - e_i o (e_j o e_k)."""
-        n = self.dim
-        first = self.apply(self.table[i][j], unit_vector(n, k))
-        second = self.apply(unit_vector(n, i), self.table[j][k])
-        return tuple(a - b for a, b in zip(first, second))
-
-    def left_symmetry_violations(self) -> tuple:
-        """Basis triples (i, j, k), i < j, where ass(i,j,k) != ass(j,i,k)."""
-        out = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    a = self.associator_basis(i, j, k)
-                    b = self.associator_basis(j, i, k)
-                    if a != b:
-                        out.append((i, j, k))
-        return tuple(out)
-
-    def is_associative(self) -> bool:
-        n = self.dim
-        return all(is_zero_vector(self.associator_basis(i, j, k))
-                   for i in range(n) for j in range(n) for k in range(n))
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vector(v) for row in self.table for v in row)
-
-    def product_span(self) -> Subspace:
-        gens = [v for row in self.table for v in row]
-        return Subspace.span(self.dim, gens)
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
@@ -236,13 +132,12 @@ def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
         out.append("form matrix is not skew-symmetric")
     elif not form.is_nondegenerate():
         out.append("form is degenerate")
+    # c[i][j][k] = omega([e_i, e_j], e_k)
+    c = [[form.covector(cell) for cell in row] for row in algebra.table]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = (form.pair(algebra.table[i][j], unit_vector(n, k))
-                         + form.pair(algebra.table[j][k], unit_vector(n, i))
-                         + form.pair(algebra.table[k][i], unit_vector(n, j)))
-                if total:
+                if c[i][j][k] + c[j][k][i] + c[k][i][j]:
                     out.append(f"form is not closed at basis triple ({i}, {j}, {k})")
     return out
 
@@ -289,17 +184,14 @@ class SymplecticLieAlgebra:
     def canonical_product(self) -> ProductTensor:
         """The torsion-free symplectic product described in the module docstring."""
         n = self.dim
-        om = self.form.matrix
-        omcols = [om.col(w) for w in range(n)]
         dual = self.form.dual_matrix
-        table = self.algebra.table
+        # c[i][j][w] = omega([e_i, e_j], e_w)
+        c = [[self.form.covector(cell) for cell in row] for row in self.algebra.table]
         rows = []
         for i in range(n):
             cells = []
             for j in range(n):
-                bij = table[i][j]
-                phi = [THIRD * (vdot(bij, omcols[w]) + vdot(table[i][w], omcols[j]))
-                       for w in range(n)]
+                phi = [THIRD * (c[i][j][w] + c[i][w][j]) for w in range(n)]
                 cells.append(dual.apply(phi))
             rows.append(tuple(cells))
         return ProductTensor(n, tuple(rows))
@@ -529,19 +421,10 @@ class MultiplicationKernels(NamedTuple):
 
 
 def multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernels:
-    n = s.dim
     p = s.canonical_product
-    if n == 0:
-        z = Subspace.zero(0)
-        return MultiplicationKernels(z, z, z)
-    left_rows = []
-    right_rows = []
-    for j in range(n):
-        for r in range(n):
-            left_rows.append(tuple(p.table[i][j][r] for i in range(n)))
-            right_rows.append(tuple(p.table[j][i][r] for i in range(n)))
-    return MultiplicationKernels(kernel(Matrix.from_rows(left_rows)),
-                                 kernel(Matrix.from_rows(right_rows)),
+    # L_u = sum_i u_i L_{e_i}, and table[i] lists the columns of L_{e_i}
+    return MultiplicationKernels(common_kernel(p.table, s.dim),
+                                 common_kernel(p.columns, s.dim),
                                  p.product_span())
 
 
@@ -639,15 +522,8 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
         claims.append(Claim(name, applicable, holds if applicable else None, detail))
 
     # --- unconditional -----------------------------------------------------
-    if n:
-        rows = []
-        mats = [ads[i] + s.adjoint(ads[i]) for i in range(n)]
-        for r in range(n):
-            for c in range(n):
-                rows.append(tuple(mats[i].entry(r, c) for i in range(n)))
-        skew_ad = kernel(Matrix.from_rows(rows))
-    else:
-        skew_ad = Subspace.zero(0)
+    skew_ad = common_kernel([(ads[i] + s.adjoint(ads[i])).entries
+                             for i in range(n)], n)
     claim("derived_perp_characterization", True, dperp == skew_ad,
           "[g,g]-perp = {u : ad_u* = -ad_u}")
     claim("center_is_products_perp", True, center == perp(s, kernels.product_span))

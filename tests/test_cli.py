@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,25 @@ class TestUsage:
                          "--report", "everything")
         assert rc == 1
         assert "invalid choice" in err
+
+
+class TestNestedJson:
+    """A short document of deeply nested arrays ends in exit code 1 and an
+    error line, run as a real process so that a traceback would show."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{doc}"],
+        ["extend", "--catalog", "abelian2", "--xi", "{doc}", "--b0", "zero"],
+    ])
+    def test_error_not_traceback(self, tmp_path, argv):
+        doc = tmp_path / "nested.json"
+        doc.write_text("[" * 3000)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "symplie.cli"] + [a.format(doc=doc) for a in argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

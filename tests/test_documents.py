@@ -207,3 +207,10 @@ class TestTowerDocuments:
         doc = {"steps": [{"base_dim": 0, "xi": [], "b0": [], "oops": 1}]}
         with pytest.raises(DocumentError, match=r"steps\[0\]"):
             document_to_tower(doc)
+
+
+class TestNestedJson:
+    def test_parse_document_rejects_deep_nesting(self):
+        with pytest.raises(DocumentError) as info:
+            parse_document("[" * 3000)
+        assert "nested too deeply" in str(info.value)
