@@ -2,8 +2,10 @@
 """Sweep the extension-pair families and tabulate the classes they reach.
 
 For every parameter point the pair is checked admissible, the double
-extension is built and verified, and the result is classified.  The
-final table shows how often each isomorphism class appears per family.
+extension is built (its validity and flatness follow from the extension
+theorem and are proved in tests/test_extension.py, not re-checked here),
+and the result is classified.  The final table shows how often each
+isomorphism class appears per family.
 """
 
 import argparse

@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 for input or validation problems (bad
 documents, bad parameters, broken symplectic axioms), 2 when the input
 is well formed but a mathematical check fails (not flat, pair not
-admissible, class unknown).
+admissible, class unknown), 3 when an internal invariant of the library
+fails (a bug; the message starts with "internal error:").
 """
 
 from __future__ import annotations
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SymplieError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ from .rationals import RationalSyntaxError, parse_rational, qstr
 from .symplectic import (SkewForm, SymplecticLieAlgebra, validate_symplectic)
 
 
+# largest dimension a document may declare; checked before anything is
+# built, since an algebra allocates dim^3 table entries
+MAX_DIM = 16
+
+
 class DocumentError(SymplieError, ValueError):
     """A document is malformed; the message names the offending field."""
 
@@ -98,6 +103,8 @@ def document_to_parts(doc) -> tuple:
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         _fail("dim", "expected a nonnegative integer")
+    if dim > MAX_DIM:
+        _fail("dim", f"{dim} exceeds the limit of {MAX_DIM}")
     basis = doc["basis"]
     if (not isinstance(basis, list)
             or any(not isinstance(b, str) or not b for b in basis)):
@@ -182,6 +189,8 @@ def document_to_pair(doc) -> AdmissiblePair:
     n = doc["base_dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         _fail("base_dim", "expected a nonnegative integer")
+    if n > MAX_DIM:
+        _fail("base_dim", f"{n} exceeds the limit of {MAX_DIM}")
     xi = doc["xi"]
     if not isinstance(xi, list) or len(xi) != n:
         _fail("xi", f"expected {n} rows")

@@ -20,9 +20,8 @@ from .lie import LieAlgebra
 from .linalg import (Matrix, Subspace, Vec, commutator, inverse, solve,
                      subspace_intersect, subspace_sum, unit_vector, vector)
 from .rationals import ONE, THIRD, ZERO, Q
-from .symplectic import (InvalidSymplecticError, SkewForm, SubspaceClass,
-                         SymplecticLieAlgebra, change_of_basis,
-                         classify_subspace, perp, validate_symplectic)
+from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
+                         change_of_basis, classify_subspace, perp)
 
 
 class NotFlatError(SymplieError):
@@ -182,7 +181,9 @@ def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
     The result is a raw (algebra, form) pair; when (xi, b0) is not
     admissible it will generally fail the Jacobi identity or flatness.
     Kept public so tests can confirm that inadmissible pairs really do
-    break the construction.
+    break the construction.  Over a valid flat base and an admissible
+    pair the result is flat symplectic with the closed-form products;
+    TestConstructionTheorem in tests/test_extension.py proves it.
     """
     n = base.dim
     if xi.shape != (n, n):
@@ -221,57 +222,17 @@ def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
 
 def double_extend(base: SymplecticLieAlgebra,
                   pair: AdmissiblePair) -> SymplecticLieAlgebra:
-    """Extend a flat base by an admissible pair and verify the outcome.
+    """Extend a flat base by an admissible pair.
 
-    Postconditions (violations raise ExtensionInvariantError): the
-    result is a flat symplectic Lie algebra, e = e1 multiplies to zero
-    on both sides, and the canonical product restricted to the pieces
-    matches the closed-form extension formulas.
+    base must be a valid symplectic Lie algebra (validate_symplectic, the
+    catalog, documents and the CLI make only such); only the pair is
+    checked.  The result is correct by the extension theorem, with e = e1
+    central; see :func:`build_extension_candidate` for where that is proved.
     """
     report = check_admissible(base, pair.xi, pair.b0)
     if not report.admissible:
         raise NotAdmissibleError(report)
-    candidate = build_extension_candidate(base, pair.xi, pair.b0)
-    try:
-        ext = validate_symplectic(candidate.algebra, candidate.form)
-    except InvalidSymplecticError as exc:
-        raise ExtensionInvariantError(
-            f"admissible pair produced an invalid structure: {exc}") from exc
-    if not ext.is_flat:
-        raise ExtensionInvariantError("admissible pair produced a non-flat extension")
-
-    n = base.dim
-    p_ext = ext.canonical_product
-    p_base = base.canonical_product
-    form_b = base.form
-    xi = pair.xi
-    xi_star = form_b.adjoint_map(xi)
-    skew = xi_star - xi
-    e = unit_vector(n + 2, 0)
-    if not (p_ext.left(e).is_zero() and p_ext.right(e).is_zero()):
-        raise ExtensionInvariantError("e does not multiply to zero")
-
-    def expect(i, j, want):
-        if p_ext.table[i][j] != tuple(want):
-            raise ExtensionInvariantError(
-                f"product formula violated at ({i}, {j})")
-
-    b0_cov = form_b.covector(pair.b0)
-    for p in range(n):
-        xi_p = form_b.covector(xi.col(p))
-        for q in range(n):
-            want = _embed(p_base.table[p][q], n)
-            want[0] += xi_p[q]
-            expect(1 + p, 1 + q, want)
-        pairing = b0_cov[p]
-        want = _embed(skew.col(p), n)
-        want[0] += THIRD * pairing
-        expect(n + 1, 1 + p, want)
-        want = _embed(xi.col(p), n)
-        want[0] -= Q(2, 3) * pairing
-        expect(1 + p, n + 1, want)
-    expect(n + 1, n + 1, _embed(tuple(THIRD * x for x in pair.b0), n))
-    return ext
+    return build_extension_candidate(base, pair.xi, pair.b0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +259,12 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     """Split a flat algebra of positive dimension as a double extension.
 
     e may pick the central direction to split along; by default the
-    first vector of the canonical center basis is used.  The recovered
-    (base, pair) is checked to be admissible and to rebuild the input
-    exactly (in the adapted basis), so a successful return certifies
-    the decomposition.
+    first vector of the canonical center basis is used.  s must be a
+    valid symplectic Lie algebra.  The recovered (base, pair) is checked
+    to be admissible and to rebuild the input exactly (in the adapted
+    basis); as the base is the middle block, that one comparison
+    certifies the split.  TestConstructionTheorem in
+    tests/test_extension.py proves each step of the catalog's towers.
     """
     if s.dim == 0:
         raise ValueError("cannot split a zero-dimensional algebra")
@@ -339,19 +302,12 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     for p in range(n):
         for q in range(p + 1, n):
             full = adapted.algebra.table[1 + p][1 + q]
-            if full[n + 1]:
-                raise ExtensionInvariantError(
-                    "base bracket leaks an ebar component")
             coeffs = {k: c for k, c in enumerate(full[1:1 + n]) if c}
             if coeffs:
                 entries[(p, q)] = coeffs
     base_names = tuple(f"b{k + 1}" for k in range(n))
-    try:
-        base = validate_symplectic(
-            LieAlgebra.from_sparse(base_names, entries), base_form)
-    except InvalidSymplecticError as exc:
-        raise ExtensionInvariantError(
-            f"split produced an invalid base: {exc}") from exc
+    base = SymplecticLieAlgebra(LieAlgebra.from_sparse(base_names, entries),
+                                base_form)
     if not base.is_flat:
         raise ExtensionInvariantError("split produced a non-flat base")
 
@@ -362,10 +318,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
         phi = [p_ad.table[1 + p][1 + q][0] for q in range(n)]
         xi_cols.append(base_form.dual_of_covector(phi))
     xi = Matrix.from_cols(xi_cols) if xi_cols else Matrix.zeros(0, 0)
-    last = p_ad.table[n + 1][n + 1]
-    if last[0] or last[n + 1]:
-        raise ExtensionInvariantError("ebar o ebar leaks outside the base")
-    b0 = tuple(Q(3) * x for x in last[1:1 + n])
+    b0 = tuple(Q(3) * x for x in p_ad.table[n + 1][n + 1][1:1 + n])
     pair = AdmissiblePair(xi, b0)
 
     try:
@@ -388,8 +341,10 @@ def symplectic_reduce(s: SymplecticLieAlgebra,
     """Quotient I-perp by its omega-radical, for a Lie ideal I.
 
     I-perp is a subalgebra, J = I meet I-perp is an ideal of it, and
-    omega descends to a nondegenerate closed form on I-perp / J.  When
-    the input is flat the quotient is flat again; that is asserted.
+    omega descends to a nondegenerate closed form on I-perp / J.  s must
+    be a valid symplectic Lie algebra; only the ideal is checked.  The
+    quotient of a flat s is flat; TestReduceTheorem in
+    tests/test_extension.py proves both facts over the catalog.
     """
     n = s.dim
     if ideal.ambient_dim != n:
@@ -423,20 +378,17 @@ def symplectic_reduce(s: SymplecticLieAlgebra,
     names = tuple(f"q{k + 1}" for k in range(m))
     form_rows = [[s.form.pair(reps[a], reps[b]) for b in range(m)]
                  for a in range(m)]
-    reduced = validate_symplectic(LieAlgebra.from_sparse(names, entries),
-                                  SkewForm(Matrix.from_rows(form_rows)
-                                           if m else Matrix.zeros(0, 0)))
-    if s.is_flat and not reduced.is_flat:
-        raise ExtensionInvariantError("reduction of a flat algebra came out non-flat")
-    return reduced
+    return SymplecticLieAlgebra(LieAlgebra.from_sparse(names, entries),
+                                SkewForm(Matrix.from_rows(form_rows)
+                                         if m else Matrix.zeros(0, 0)))
 
 
 # ---------------------------------------------------------------------------
 # towers
 
 def zero_symplectic() -> SymplecticLieAlgebra:
-    return validate_symplectic(LieAlgebra.from_sparse((), {}),
-                               SkewForm(Matrix.zeros(0, 0)))
+    return SymplecticLieAlgebra(LieAlgebra.from_sparse((), {}),
+                                SkewForm(Matrix.zeros(0, 0)))
 
 
 def extension_tower(pairs: Sequence[AdmissiblePair],

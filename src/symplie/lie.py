@@ -57,11 +57,7 @@ class LieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-            vec = {}
-            for k, c in coeffs.items():
-                if not 0 <= k < n:
-                    raise ValueError(f"bracket value index {k} out of range")
-                vec[k] = as_q(c)
+            vec = {k: as_q(c) for k, c in coeffs.items()}
             entries[(i, j)] = vec
             entries[(j, i)] = {k: -c for k, c in vec.items()}
         return cls(names, ProductTensor.from_sparse(n, entries).table)

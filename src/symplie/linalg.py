@@ -464,8 +464,12 @@ class ProductTensor:
     def from_sparse(cls, dim: int, entries) -> "ProductTensor":
         rows = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in entries.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"product key ({i}, {j}) out of range for dim {dim}")
             vec = [ZERO] * dim
             for k, c in coeffs.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"product value index {k} out of range for dim {dim}")
                 vec[k] = as_q(c)
             rows[i][j] = tuple(vec)
         return cls(dim, tuple(tuple(r) for r in rows))

@@ -8,6 +8,8 @@ import pytest
 
 from symplie import cli
 from symplie.documents import dumps_document, parse_document
+from symplie.extension import ExtensionInvariantError
+from symplie.symplectic import DegenerateFormError, FlatnessInvariantError
 
 
 def run(capsys, *argv):
@@ -329,6 +331,32 @@ class TestUsage:
                          "--report", "everything")
         assert rc == 1
         assert "invalid choice" in err
+
+
+class TestInternalErrors:
+    """A failed internal invariant ends in exit code 3, not a traceback."""
+
+    @pytest.mark.parametrize("error", [ExtensionInvariantError,
+                                       FlatnessInvariantError,
+                                       DegenerateFormError])
+    def test_exit_code_3(self, capsys, monkeypatch, error):
+        def broken(s):
+            raise error("invariant broke")
+        monkeypatch.setattr("symplie.cli.reduction_tower", broken)
+        rc, out, err = run(capsys, "reduce", "--catalog", "g6_3", "--auto")
+        assert rc == 3
+        assert err == "internal error: invariant broke\n"
+        assert "Traceback" not in out + err
+
+
+class TestOversizedDocument:
+    def test_dim_over_the_limit(self, capsys, tmp_path):
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"dim": 1000000, "basis": [],
+                                   "brackets": [], "omega": []}))
+        rc, _, err = run(capsys, "verify", str(doc))
+        assert rc == 1
+        assert err == "error: dim: 1000000 exceeds the limit of 16\n"
 
 
 class TestNestedJson:

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from symplie.documents import (DocumentError, algebra_to_document,
+from symplie.documents import (MAX_DIM, DocumentError, algebra_to_document,
                                document_to_algebra, document_to_pair,
                                document_to_parts, document_to_tower,
                                dumps_document, pair_to_document,
                                parse_document, tower_to_document)
 from symplie.extension import AdmissiblePair, reduction_tower, tower_pairs
+from symplie.lie import LieAlgebra
 from symplie.linalg import Matrix
 from symplie.rationals import Q
 from symplie.symplectic import InvalidSymplecticError
@@ -214,3 +215,31 @@ class TestNestedJson:
         with pytest.raises(DocumentError) as info:
             parse_document("[" * 3000)
         assert "nested too deeply" in str(info.value)
+
+
+class TestOversizedDocuments:
+    """dim and base_dim above MAX_DIM fail before anything is allocated."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized document reached a constructor")
+        for cls, name in ((Matrix, "zeros"), (Matrix, "from_rows"),
+                          (LieAlgebra, "from_sparse")):
+            monkeypatch.setattr(cls, name, refuse)
+
+    def test_algebra_dim(self, nothing_built):
+        doc = {"dim": 1000000, "basis": [], "brackets": [], "omega": []}
+        with pytest.raises(DocumentError,
+                           match="dim: 1000000 exceeds the limit of 16"):
+            document_to_parts(doc)
+
+    def test_pair_base_dim(self, nothing_built):
+        with pytest.raises(DocumentError,
+                           match="base_dim: 1000000 exceeds the limit of 16"):
+            document_to_pair({"base_dim": 1000000, "xi": [], "b0": []})
+
+    def test_the_limit_itself_is_accepted(self):
+        names = [f"x{k}" for k in range(MAX_DIM)]
+        doc = {"dim": MAX_DIM, "basis": names, "brackets": [], "omega": []}
+        assert document_to_parts(doc)[0].dim == MAX_DIM

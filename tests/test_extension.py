@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from symplie import catalog
 from symplie.extension import (AdmissiblePair, NotAdmissibleError,
                                NotAnIdealError, NotFlatError,
                                build_extension_candidate, check_admissible,
@@ -10,7 +13,8 @@ from symplie.extension import (AdmissiblePair, NotAdmissibleError,
 from symplie.linalg import Matrix, Subspace, unit_vector
 from symplie.rationals import Q
 from symplie.symplectic import (InvalidSymplecticError, change_of_basis,
-                                validate_symplectic)
+                                symplectic_violations, validate_symplectic)
+from test_kernels import dense_change_of_basis
 
 NILP2 = Matrix.from_rows([[0, 1], [0, 0]])
 
@@ -120,6 +124,106 @@ class TestDoubleExtend:
             validate_symplectic(candidate.algebra, candidate.form)
 
 
+def assert_extension_theorem(base, pair, ext):
+    """The conclusions of the extension theorem for ext = double_extend(base, pair).
+
+    ext is a flat symplectic Lie algebra, e = e1 multiplies to zero on
+    both sides, and its canonical product is given on the pieces
+    [e, base..., ebar] by the closed-form formulas, with omega_B the
+    base form and xi* the omega_B-adjoint of xi:
+
+      a o b       = a o_B b + omega_B(xi(a), b) e
+      ebar o a    = (xi* - xi)(a) + (1/3) omega_B(b0, a) e
+      a o ebar    = xi(a) - (2/3) omega_B(b0, a) e
+      ebar o ebar = (1/3) b0
+    """
+    assert symplectic_violations(ext.algebra, ext.form) == []
+    assert ext.is_flat
+    n = base.dim
+    prod = ext.canonical_product
+    e = unit_vector(n + 2, 0)
+    assert prod.left(e).is_zero() and prod.right(e).is_zero()
+
+    def embed(e_coeff, v):
+        return (e_coeff,) + tuple(v) + (Q(0),)
+
+    omega_b = base.form.pair
+    xi, b0 = pair.xi, pair.b0
+    skew = base.adjoint(xi) - xi
+    for p in range(n):
+        a = unit_vector(n, p)
+        for q in range(n):
+            assert prod.table[1 + p][1 + q] == embed(
+                omega_b(xi.col(p), unit_vector(n, q)),
+                base.canonical_product.table[p][q]), (p, q)
+        w = omega_b(b0, a)
+        assert prod.table[n + 1][1 + p] == embed(w / 3, skew.col(p)), p
+        assert prod.table[1 + p][n + 1] == embed(-2 * w / 3, xi.col(p)), p
+    assert prod.table[n + 1][n + 1] == embed(Q(0), (x / 3 for x in b0))
+
+
+def random_admissible_pairs(rng, bases, trials):
+    """Seeded pairs over the given bases that pass check_admissible.
+
+    xi gets 1-3 nonzero entries in {1, -1, 2, -2}; b0 is c e_k with c in
+    {0, 1, -1}.
+    """
+    found = []
+    names = sorted(bases)
+    for _ in range(trials):
+        name = rng.choice(names)
+        base = bases[name]
+        n = base.dim
+        rows = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1, 2, -2))
+        b0 = [0] * n
+        b0[rng.randrange(n)] = rng.choice((0, 1, -1))
+        xi = Matrix.from_rows(rows)
+        if check_admissible(base, xi, b0).admissible:
+            found.append((name, AdmissiblePair(xi, b0)))
+    return found
+
+
+class TestConstructionTheorem:
+    """double_extend checks only admissibility; these prove its output."""
+
+    def test_every_sweep_point(self, family_sweep):
+        count = 0
+        for fam, points in family_sweep.items():
+            base = catalog.get(catalog.FAMILY_BASES[fam]).algebra
+            for params, pair, ext, _ in points:
+                assert_extension_theorem(base, pair, ext)
+                count += 1
+        assert count == 439
+
+    def test_random_admissible_pairs(self, entries):
+        bases = {name: entries[name].algebra for name in
+                 ("abelian2", "abelian4", "abelian4_w0", "r_h3_dim4")}
+        pairs = random_admissible_pairs(random.Random(20260), bases, 1600)
+        assert len(pairs) >= 300
+        assert {name for name, _ in pairs} == set(bases)
+        assert len(set(pairs)) >= 200
+        for name, pair in pairs:
+            assert_extension_theorem(bases[name], pair,
+                                     double_extend(bases[name], pair))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reduction_towers_in_dense_bases(self, entries, seed):
+        rng = random.Random(f"towers {seed}")
+        steps_seen = 0
+        for name, entry in entries.items():
+            s = entry.algebra
+            if name == "aff1" or s.dim == 0:
+                continue
+            moved = change_of_basis(s, dense_change_of_basis(rng, s.dim))
+            for step in reduction_tower(moved):
+                assert_extension_theorem(step.base, step.pair,
+                                         double_extend(step.base, step.pair))
+                steps_seen += 1
+        assert steps_seen == 28
+
+
 class TestInverseDoubleExtend:
     def test_r_h3_dim4_split(self, entries):
         step = inverse_double_extend(entries["r_h3_dim4"].algebra)
@@ -185,6 +289,25 @@ class TestSymplecticReduce:
         s = entries["r_h3_dim4"].algebra
         with pytest.raises(NotAnIdealError):
             symplectic_reduce(s, Subspace.span(4, [unit_vector(4, 0)]))
+
+
+class TestReduceTheorem:
+    """symplectic_reduce does not re-validate; these prove its output."""
+
+    def test_every_catalog_entry_and_ideal(self, entries):
+        count = 0
+        for name, entry in entries.items():
+            s = entry.algebra
+            n = s.dim
+            ideals = [Subspace.zero(n), s.center, s.derived, Subspace.full(n)]
+            ideals += list(s.algebra.lower_central_series().terms)
+            for ideal in ideals:
+                reduced = symplectic_reduce(s, ideal)
+                assert symplectic_violations(reduced.algebra, reduced.form) == [], name
+                if s.is_flat:
+                    assert reduced.is_flat, name
+                count += 1
+        assert count >= 5 * len(entries)
 
 
 class TestTowers:

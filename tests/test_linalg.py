@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sympy_rank
-from symplie.linalg import (Matrix, NoSolutionError, SingularMatrixError,
-                            Subspace, commutator, inverse, is_zero_vector,
+from symplie.linalg import (Matrix, NoSolutionError, ProductTensor,
+                            SingularMatrixError, Subspace, commutator, inverse, is_zero_vector,
                             kernel, rank, rref, solve, subspace_intersect,
                             subspace_sum, unit_vector, vadd, vdot, vector,
                             vscale, vsub, zero_vector)
@@ -193,3 +193,20 @@ class TestSubspace:
         join = subspace_sum(a, b)
         assert a.is_subspace_of(join) and b.is_subspace_of(join)
         assert meet.dim + join.dim == a.dim + b.dim
+
+
+class TestProductTensorFromSparse:
+    def test_builds_the_table(self):
+        p = ProductTensor.from_sparse(2, {(0, 1): {1: "1/2"}})
+        assert p.table[0][1] == (Q(0), Q(1, 2))
+        assert p.table[1][0] == (Q(0), Q(0))
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): {-1: 1}},  # would write the last coordinate
+        {(-1, 0): {0: 1}},  # would write row 1
+        {(0, 5): {0: 1}},   # would raise a bare IndexError
+        {(0, 0): {2: 1}},
+    ])
+    def test_rejects_indices_out_of_range(self, entries):
+        with pytest.raises(ValueError, match="out of range"):
+            ProductTensor.from_sparse(2, entries)
