@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 from .errors import SymplieError
 from .extension import AdmissiblePair
 from .lie import LieAlgebra
-from .linalg import Matrix, subspace_intersect
+from .linalg import Matrix, subspace_sum
 from .rationals import ONE, ZERO, Q, as_q
 from .symplectic import (ProductTensor, SkewForm, SymplecticLieAlgebra,
                          validate_symplectic)
@@ -273,7 +273,9 @@ def fingerprint(algebra) -> Fingerprint:
         derived_series_dims=algebra.derived_series().dims,
         center_dim=center.dim,
         derived_dim=derived.dim,
-        center_meets_derived_dim=subspace_intersect(center, derived).dim,
+        # dim(Z meet D) = dim Z + dim D - dim(Z + D)
+        center_meets_derived_dim=(center.dim + derived.dim
+                                  - subspace_sum(center, derived).dim),
     )
 
 

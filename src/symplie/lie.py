@@ -15,8 +15,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel,
-                     inverse, is_zero_vector, unit_vector)
-from .rationals import as_q
+                     inverse, is_zero_vector, sparse, sparse_sum, unit_vector)
+from .rationals import ZERO, as_q
 
 
 class InvalidLieAlgebraError(SymplieError):
@@ -107,20 +107,46 @@ class LieAlgebra:
         return self
 
     # -- classical invariants ---------------------------------------------------
+    # Each is computed once per algebra, so fingerprint, structural_report
+    # and the CLI share one computation; the methods return the cached value.
 
     def center(self) -> Subspace:
         """{u : [u, x] = 0 for all x}, the intersection of ad kernels."""
+        return self._center
+
+    @cached_property
+    def _center(self) -> Subspace:
         # ad_u = sum_i u_i ad_{e_i}, and table[i] lists the columns of ad_{e_i}
         return common_kernel(self.table, self.dim)
 
     def derived_subspace(self) -> Subspace:
+        return self._derived_subspace
+
+    @cached_property
+    def _derived_subspace(self) -> Subspace:
         gens = [self.table[i][j] for i in range(self.dim)
                 for j in range(i + 1, self.dim)]
         return Subspace.span(self.dim, gens)
 
-    def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        gens = [self.bracket(u, v) for u in a.columns() for v in b.columns()]
-        return Subspace.span(self.dim, gens)
+    def _ad_rows(self, u: Sequence) -> tuple:
+        """[u, e_j] for every j, each as its nonzero (k, c)."""
+        nz = self.bracket_tensor.nonzeros
+        su = sparse(u)
+        rows = []
+        for j in range(self.dim):
+            acc = sparse_sum((c, nz[i][j]) for i, c in su)
+            rows.append(tuple((k, c) for k, c in acc.items() if c))
+        return tuple(rows)
+
+    def _bracket_span(self, pairs) -> Subspace:
+        """The span of [u, v] = sum_j v_j [u, e_j] over (ad rows of u, v)
+        in pairs, in one elimination."""
+        n = self.dim
+        gens = []
+        for ad_u, v in pairs:
+            acc = sparse_sum((c, ad_u[j]) for j, c in sparse(v))
+            gens.append([acc.get(k, ZERO) for k in range(n)])
+        return Subspace.span(n, gens)
 
     def lower_central_series(self) -> "LowerCentralSeries":
         """C^1 = g, C^{k+1} = [g, C^k], listed until it stabilizes.
@@ -129,22 +155,35 @@ class LieAlgebra:
         zero algebra has class 0 and a nonzero abelian algebra class 1),
         or None when the series stabilizes at a nonzero term.
         """
-        full = Subspace.full(self.dim)
-        terms = [full]
-        while True:
-            nxt = self.bracket_span(full, terms[-1])
-            if nxt == terms[-1]:
-                break
+        return self._lower_central_series
+
+    @cached_property
+    def _lower_central_series(self) -> "LowerCentralSeries":
+        nz = self.bracket_tensor.nonzeros
+        terms = [Subspace.full(self.dim)]
+        nxt = self.derived_subspace()  # C^2 = [g, g]
+        while nxt != terms[-1]:
             terms.append(nxt)
+            # the rows of ad_{e_i} are the nonzero entries of table[i]
+            nxt = self._bracket_span((nz[i], v) for i in range(self.dim)
+                                     for v in nxt.columns())
         nilpotent = terms[-1].dim == 0
         cls: Optional[int] = len(terms) - 1 if nilpotent else None
         return LowerCentralSeries(tuple(terms), cls)
 
     def derived_series(self) -> "DerivedSeries":
         """D^1 = [g, g], D^{k+1} = [D^k, D^k], until it stabilizes."""
+        return self._derived_series
+
+    @cached_property
+    def _derived_series(self) -> "DerivedSeries":
         terms = [self.derived_subspace()]
         while True:
-            nxt = self.bracket_span(terms[-1], terms[-1])
+            cols = terms[-1].columns()
+            ads = [self._ad_rows(u) for u in cols]
+            # [u, u] = 0 and [v, u] = -[u, v], so the pairs a < b span it
+            nxt = self._bracket_span((ads[a], cols[b]) for a in range(len(cols))
+                                     for b in range(a + 1, len(cols)))
             if nxt == terms[-1]:
                 break
             terms.append(nxt)

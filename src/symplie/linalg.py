@@ -55,10 +55,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vscale(c, a: Vec) -> Vec:
     c = as_q(c)
     if not c:
@@ -93,6 +89,26 @@ def accumulate(acc: list, coeffs: Sequence, vectors: Sequence, scale=None) -> li
             if wk:
                 acc[k] += c * wk
     return acc
+
+
+def sparse_sum(terms) -> dict:
+    """sum_t c_t * row_t as {k: value} over (c, row) pairs, each row a
+    sequence of nonzero (k, d); entries that cancel stay, as zeros.
+
+    The sparse counterpart of :func:`accumulate`, for rows read from
+    :attr:`ProductTensor.nonzeros`.
+    """
+    acc = {}
+    for c, row in terms:
+        for k, d in row:
+            t = c * d
+            acc[k] = acc[k] + t if k in acc else t
+    return acc
+
+
+def sparse(v: Sequence) -> tuple:
+    """The nonzero (k, v_k) of a vector."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +165,9 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     @property
     def is_square(self) -> bool:
@@ -343,7 +361,11 @@ def common_kernel(maps: Sequence, n: int) -> "Subspace":
     """
     if n == 0:
         return Subspace.zero(0)
-    rows = list(zip(*[[x for cells in m for x in cells] for m in maps]))
+    # an all-zero equation constrains nothing
+    rows = [r for r in zip(*[[x for cells in m for x in cells] for m in maps])
+            if any(r)]
+    if not rows:
+        return Subspace.full(n)
     return kernel(Matrix.from_rows(rows))
 
 
@@ -473,6 +495,11 @@ class ProductTensor:
                 vec[k] = as_q(c)
             rows[i][j] = tuple(vec)
         return cls(dim, tuple(tuple(r) for r in rows))
+
+    @cached_property
+    def nonzeros(self) -> tuple:
+        """nonzeros[a][m] = the nonzero (k, c) of e_a o e_m."""
+        return tuple(tuple(sparse(v) for v in row) for row in self.table)
 
     @cached_property
     def columns(self) -> tuple:

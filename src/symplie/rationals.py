@@ -19,8 +19,8 @@ from .errors import SymplieError
 try:
     from gmpy2 import mpq as Q
 
-    GMPY2_BACKEND = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+    GMPY2_BACKEND = True  # pragma: no cover - exercised only with gmpy2
+except ImportError:
     from fractions import Fraction as Q
 
     GMPY2_BACKEND = False

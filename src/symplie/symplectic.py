@@ -30,8 +30,8 @@ from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
                      common_kernel, commutator, inverse, is_zero_vector,
-                     kernel, rank, subspace_intersect, unit_vector, vdot,
-                     vector)
+                     kernel, rank, sparse, sparse_sum, subspace_intersect,
+                     unit_vector, vdot, vector)
 from .rationals import THIRD, ZERO, Q
 
 
@@ -295,24 +295,17 @@ def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
     the first nonzero residual vector.
     """
     n = product.dim
-    # nz[a][m]: the nonzero (k, c) of e_a o e_m
-    nz = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
-          for row in product.table]
+    nz = product.nonzeros
     for i in range(n):
         left_i = nz[i]
         for j in range(i + 1, n):
             left_j = nz[j]
-            bracket = [(a, c) for a, c in enumerate(table[i][j]) if c]
+            bracket = sparse(table[i][j])
             for m in range(n):
                 terms = ([(c, nz[a][m]) for a, c in bracket]
                          + [(-c, left_i[k]) for k, c in left_j[m]]
                          + [(c, left_j[k]) for k, c in left_i[m]])
-                acc = {}
-                for c, row in terms:
-                    for k, d in row:
-                        t = c * d
-                        acc[k] = acc[k] + t if k in acc else t
-                if any(acc.values()):
+                if any(sparse_sum(terms).values()):
                     return (i, j)
     return None
 

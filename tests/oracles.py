@@ -3,13 +3,20 @@
 These deliberately avoid the code paths under test: the product oracle
 assembles one big linear system over all dim^3 structure coefficients
 and hands it to the generic eliminator, and the sympy helpers rebuild
-matrices in a foreign CAS.
+matrices in a foreign CAS.  The reference series, center and
+admissibility check are the dense formulations the library used before
+it read the sparse product entries: full bilinear brackets, and one
+Matrix identity per basis index.
 """
 
 import sympy
 
-from symplie.linalg import Matrix, solve
-from symplie.rationals import Q, qstr
+from symplie.extension import (AdmissibilityReport, EquationCheck,
+                               NotFlatError)
+from symplie.lie import DerivedSeries, LowerCentralSeries
+from symplie.linalg import (Matrix, Subspace, commutator, kernel, solve,
+                            unit_vector, vector)
+from symplie.rationals import THIRD, Q, qstr
 from symplie.symplectic import ProductTensor
 
 
@@ -57,3 +64,87 @@ def sympy_rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return to_sympy(m).rank()
+
+
+# ---------------------------------------------------------------------------
+# dense references for the Lie series and the admissibility identities
+
+def reference_bracket_span(algebra, a: Subspace, b: Subspace) -> Subspace:
+    gens = [algebra.bracket(u, v) for u in a.columns() for v in b.columns()]
+    return Subspace.span(algebra.dim, gens)
+
+
+def reference_center(algebra) -> Subspace:
+    """The kernel of every equation sum_i u_i [e_i, e_j]_k = 0, zero rows kept."""
+    n = algebra.dim
+    if n == 0:
+        return Subspace.zero(0)
+    rows = [[algebra.table[i][j][k] for i in range(n)]
+            for j in range(n) for k in range(n)]
+    return kernel(Matrix.from_rows(rows))
+
+
+def reference_derived_subspace(algebra) -> Subspace:
+    full = Subspace.full(algebra.dim)
+    return reference_bracket_span(algebra, full, full)
+
+
+def reference_lower_central_series(algebra) -> LowerCentralSeries:
+    full = Subspace.full(algebra.dim)
+    terms = [full]
+    while True:
+        nxt = reference_bracket_span(algebra, full, terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    nilpotent = terms[-1].dim == 0
+    return LowerCentralSeries(tuple(terms), len(terms) - 1 if nilpotent else None)
+
+
+def reference_derived_series(algebra) -> DerivedSeries:
+    terms = [reference_derived_subspace(algebra)]
+    while True:
+        nxt = reference_bracket_span(algebra, terms[-1], terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return DerivedSeries(tuple(terms), terms[-1].dim == 0)
+
+
+def reference_check_admissible(base, xi: Matrix, b0) -> AdmissibilityReport:
+    """The five identities with 2n Matrix products per basis index."""
+    if not base.is_flat:
+        raise NotFlatError("extension pairs are only defined over a flat base")
+    n = base.dim
+    if xi.shape != (n, n):
+        raise ValueError(f"xi must be {n}x{n}")
+    b0 = vector(b0)
+    if len(b0) != n:
+        raise ValueError(f"b0 must have length {n}")
+    p = base.canonical_product
+    xi_star = base.adjoint(xi)
+    r_b0 = p.right(b0)
+    r_b0_star = base.adjoint(r_b0)
+    checks = [
+        EquationCheck("commutator_with_adjoint",
+                      commutator(xi, xi_star) == (xi @ xi) - r_b0.scale(THIRD)),
+        EquationCheck("skew_part_kills_b0",
+                      all(not x for x in (xi_star - xi).apply(b0))),
+        EquationCheck("adjoint_composition",
+                      (xi_star @ xi) == (r_b0 + r_b0_star).scale(THIRD)),
+    ]
+    ok4, ok5 = True, True
+    detail4 = detail5 = ""
+    for i in range(n):
+        a = unit_vector(n, i)
+        ad_a = base.algebra.ad(a)
+        l_a = p.left(a)
+        if ok4 and (xi @ ad_a) != (l_a @ xi) - p.right(xi.col(i)):
+            ok4, detail4 = False, f"fails at basis index {i}"
+        lhs = (xi_star @ l_a) - p.left(xi_star.col(i)) - (l_a @ xi_star)
+        rhs = (xi @ l_a) - (l_a @ xi) - p.left(xi.col(i)).scale(Q(2))
+        if ok5 and lhs != rhs:
+            ok5, detail5 = False, f"fails at basis index {i}"
+    checks.append(EquationCheck("bracket_compatibility", ok4, detail4))
+    checks.append(EquationCheck("left_mult_compatibility", ok5, detail5))
+    return AdmissibilityReport(tuple(checks))

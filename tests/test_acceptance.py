@@ -14,7 +14,7 @@ from symplie.extension import (NotFlatError, check_admissible,
                                reduction_tower, tower_pairs, tower_transform)
 from symplie.linalg import Matrix
 from symplie.symplectic import (change_of_basis, curvature_residuals,
-                                structural_report)
+                                structural_report, symplectic_violations)
 
 
 def criterion(num, ok, description):
@@ -68,6 +68,7 @@ def test_criterion_4_extension_soundness(entries, family_sweep):
         for _, pair, ext, _ in points:
             count += 1
             ok &= check_admissible(base, pair.xi, pair.b0).admissible
+            ok &= symplectic_violations(ext.algebra, ext.form) == []
             ok &= ext.is_flat and ext.dim == base.dim + 2
             ok &= ext.algebra.is_nilpotent()
     criterion(4, ok and count > 400,
