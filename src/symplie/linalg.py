@@ -182,16 +182,19 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
+    # a zero operand entry costs no scalar operation
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(r1, r2))
+                      tuple(tuple(b if not a else a if not b else a + b
+                                  for a, b in zip(r1, r2))
                             for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(self.rows, self.cols,
-                      tuple(tuple(a - b for a, b in zip(r1, r2))
+                      tuple(tuple(a if not b else -b if not a else a - b
+                                  for a, b in zip(r1, r2))
                             for r1, r2 in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
@@ -200,8 +203,11 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = as_q(c)
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
         return Matrix(self.rows, self.cols,
-                      tuple(tuple(c * a for a in row) for row in self.entries))
+                      tuple(tuple(c * a if a else ZERO for a in row)
+                            for row in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -538,30 +544,31 @@ class ProductTensor:
         """R_u : x -> x o u."""
         return self._operator(u, self.table)
 
-    def associator_basis(self, i: int, j: int, k: int) -> Vec:
-        """(e_i o e_j) o e_k - e_i o (e_j o e_k)."""
+    @cached_property
+    def associators(self) -> tuple:
+        """associators[i][j][k] = (e_i o e_j) o e_k - e_i o (e_j o e_k),
+        each one sparse sum over :attr:`nonzeros`."""
         n = self.dim
-        first = self.apply(self.table[i][j], unit_vector(n, k))
-        second = self.apply(unit_vector(n, i), self.table[j][k])
-        return tuple(a - b for a, b in zip(first, second))
+        nz = self.nonzeros
+
+        def entry(i, j, k):
+            acc = sparse_sum([(c, nz[a][k]) for a, c in nz[i][j]]
+                             + [(-d, nz[i][b]) for b, d in nz[j][k]])
+            return tuple(acc.get(m, ZERO) for m in range(n))
+
+        return tuple(tuple(tuple(entry(i, j, k) for k in range(n))
+                           for j in range(n)) for i in range(n))
 
     def left_symmetry_violations(self) -> tuple:
         """Basis triples (i, j, k), i < j, where ass(i,j,k) != ass(j,i,k)."""
-        out = []
+        a = self.associators
         n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    a = self.associator_basis(i, j, k)
-                    b = self.associator_basis(j, i, k)
-                    if a != b:
-                        out.append((i, j, k))
-        return tuple(out)
+        return tuple((i, j, k) for i in range(n) for j in range(i + 1, n)
+                     for k in range(n) if a[i][j][k] != a[j][i][k])
 
     def is_associative(self) -> bool:
-        n = self.dim
-        return all(is_zero_vector(self.associator_basis(i, j, k))
-                   for i in range(n) for j in range(n) for k in range(n))
+        return all(is_zero_vector(v) for plane in self.associators
+                   for row in plane for v in row)
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(v) for row in self.table for v in row)

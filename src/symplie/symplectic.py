@@ -240,17 +240,21 @@ class SymplecticLieAlgebra:
     @cached_property
     def flatness(self) -> FlatnessChecks:
         """All three criteria, cross-checked; :attr:`is_flat` needs only
-        the curvature one."""
+        the curvature one.
+
+        The right-form and left-symmetry criteria read the cached
+        associator tensor A of the canonical product.  Applied to e_m,
+        (R_{e_i o e_j} - R_j R_i - [L_i, R_j]) e_m = A(i, m, j) - A(m, i, j),
+        so the right form vanishes iff A(i, m, j) = A(m, i, j) for all
+        i, j, m.
+        """
         witness = self.curvature_witness
         curvature_ok = witness is None
         p = self.canonical_product
+        a = p.associators
         n = self.dim
-        lefts = [p.left(unit_vector(n, i)) for i in range(n)]
-        rights = [p.right(unit_vector(n, i)) for i in range(n)]
-        right_ok = all(
-            p.right(p.table[i][j]) - (rights[j] @ rights[i])
-            == commutator(lefts[i], rights[j])
-            for i in range(n) for j in range(n))
+        right_ok = all(a[i][m][j] == a[m][i][j]
+                       for i in range(n) for j in range(n) for m in range(n))
         left_sym = not p.left_symmetry_violations()
         if not (curvature_ok == right_ok == left_sym):
             raise FlatnessInvariantError(
@@ -508,6 +512,9 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     lcs = alg.lower_central_series()
     abelian = derived.dim == 0
     ads = [alg.ad(unit_vector(n, i)) for i in range(n)]
+    # tr R_{e_i} = sum_m (e_m o e_i)_m, read off the table
+    right_traces = [sum((p.table[m][i][m] for m in range(n)), ZERO)
+                    for i in range(n)]
 
     claims = []
 
@@ -529,8 +536,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     holds, detail = _ideal_perp_rules(s, center)
     claim("center_ideal_perp_rules", True, holds, detail)
     claim("right_trace_identity", True,
-          all(p.right(unit_vector(n, i)).trace() == -ads[i].trace()
-              for i in range(n)),
+          all(right_traces[i] == -ads[i].trace() for i in range(n)),
           "tr R_u = -tr ad_u")
     ok = True
     for u in dperp.columns():
@@ -577,7 +583,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     ok = all(nl.contains(alg.bracket(unit_vector(n, i), u))
              for i in range(n) for u in dperp.columns())
     claim("flat_bracket_derived_perp_in_left_kernel", flat, ok)
-    complete = all(p.right(unit_vector(n, i)).trace() == ZERO for i in range(n))
+    complete = all(t == ZERO for t in right_traces)
     claim("flat_complete_iff_unimodular", flat, complete == unimodular,
           f"complete={complete}, unimodular={unimodular}")
     claim("flat_unimodular_solvable", flat and unimodular, alg.is_solvable())

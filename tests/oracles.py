@@ -3,10 +3,11 @@
 These deliberately avoid the code paths under test: the product oracle
 assembles one big linear system over all dim^3 structure coefficients
 and hands it to the generic eliminator, and the sympy helpers rebuild
-matrices in a foreign CAS.  The reference series, center and
-admissibility check are the dense formulations the library used before
-it read the sparse product entries: full bilinear brackets, and one
-Matrix identity per basis index.
+matrices in a foreign CAS.  The reference series, center,
+admissibility check, associators and flatness criteria are the dense
+formulations the library used before it read the sparse product
+entries: full bilinear products and brackets, and one Matrix identity
+per basis index or pair.
 """
 
 import sympy
@@ -17,7 +18,8 @@ from symplie.lie import DerivedSeries, LowerCentralSeries
 from symplie.linalg import (Matrix, Subspace, commutator, kernel, solve,
                             unit_vector, vector)
 from symplie.rationals import THIRD, Q, qstr
-from symplie.symplectic import ProductTensor
+from symplie.symplectic import (FlatnessChecks, ProductTensor,
+                                curvature_residuals)
 
 
 def brute_force_canonical_product(algebra, form) -> ProductTensor:
@@ -148,3 +150,54 @@ def reference_check_admissible(base, xi: Matrix, b0) -> AdmissibilityReport:
     checks.append(EquationCheck("bracket_compatibility", ok4, detail4))
     checks.append(EquationCheck("left_mult_compatibility", ok5, detail5))
     return AdmissibilityReport(tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# dense references for the associator and the flatness criteria
+
+def reference_associator(p: ProductTensor, i: int, j: int, k: int) -> tuple:
+    """(e_i o e_j) o e_k - e_i o (e_j o e_k) from two full products."""
+    n = p.dim
+    first = p.apply(p.table[i][j], unit_vector(n, k))
+    second = p.apply(unit_vector(n, i), p.table[j][k])
+    return tuple(a - b for a, b in zip(first, second))
+
+
+def reference_associators(p: ProductTensor) -> tuple:
+    """The tensor of every reference_associator(p, i, j, k)."""
+    n = p.dim
+    return tuple(tuple(tuple(reference_associator(p, i, j, k) for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+# these two read a tensor from reference_associators, which is costly to build
+def reference_left_symmetry_violations(a: tuple) -> tuple:
+    n = len(a)
+    return tuple((i, j, k) for i in range(n) for j in range(i + 1, n)
+                 for k in range(n) if a[i][j][k] != a[j][i][k])
+
+
+def reference_is_associative(a: tuple) -> bool:
+    n = len(a)
+    return all(not any(a[i][j][k])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def reference_right_form_vanishes(p: ProductTensor) -> bool:
+    """R_{e_i o e_j} - R_j R_i = [L_i, R_j] for all i, j, as Matrix identities."""
+    n = p.dim
+    lefts = [p.left(unit_vector(n, i)) for i in range(n)]
+    rights = [p.right(unit_vector(n, i)) for i in range(n)]
+    return all(p.right(p.table[i][j]) - (rights[j] @ rights[i])
+               == commutator(lefts[i], rights[j])
+               for i in range(n) for j in range(n))
+
+
+def reference_flatness(s, a: tuple) -> FlatnessChecks:
+    """The three criteria and the witness from their dense formulations;
+    a = reference_associators(s.canonical_product)."""
+    p = s.canonical_product
+    residuals = curvature_residuals(p, s.algebra)
+    witness = next((pair for pair, m in residuals.items() if not m.is_zero()), None)
+    return FlatnessChecks(witness is None, reference_right_form_vanishes(p),
+                          not reference_left_symmetry_violations(a), witness)
