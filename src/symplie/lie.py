@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .errors import SymplieError
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel,
                      inverse, is_zero_vector, sparse, sparse_sum, unit_vector)
-from .rationals import ZERO, as_q
+from .rationals import ZERO, as_q, rational
 
 
 class InvalidLieAlgebraError(SymplieError):
@@ -86,17 +86,26 @@ class LieAlgebra:
     # -- axioms ---------------------------------------------------------------
 
     def validate(self) -> tuple:
-        """All Jacobi violations on basis triples i < j < k (empty = valid)."""
+        """All Jacobi violations on basis triples i < j < k (empty = valid).
+
+        The sum runs over the integer rows of the bracket's
+        :attr:`ProductTensor.integral`, so it is den^2 times the residual;
+        only a failing triple's residual is converted back to scalars.
+        """
         n = self.dim
-        t = self.table
+        den, rows = self.bracket_tensor.integral
         out = []
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                    res = self.bracket_tensor.left_sum(
-                        ((t[i][j], k), (t[j][k], i), (t[k][i], j)))
-                    if not is_zero_vector(res):
+                    acc = [0] * n
+                    for cell, m in ((rows[i][j], k), (rows[j][k], i), (rows[k][i], j)):
+                        for a, c in cell:
+                            for b, d in rows[a][m]:
+                                acc[b] += c * d
+                    if any(acc):
+                        res = tuple(rational(x, den * den) for x in acc)
                         out.append(JacobiViolation((i, j, k), res))
         return tuple(out)
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import SymplieError
-from .rationals import ONE, ZERO, as_q
+from .rationals import ONE, ZERO, as_q, integral, rational
 
 Vec = tuple
 
@@ -523,13 +523,6 @@ class ProductTensor:
                 accumulate(acc, v, row, ui)
         return tuple(acc)
 
-    def left_sum(self, terms) -> Vec:
-        """The sum of u o e_j over the pairs (u, j) in terms."""
-        acc = [ZERO] * self.dim
-        for u, j in terms:
-            accumulate(acc, u, self.columns[j])
-        return tuple(acc)
-
     def _operator(self, u: Sequence, grid) -> Matrix:
         """The matrix with column j equal to sum_i u_i grid[j][i]."""
         u = vector(u)
@@ -545,16 +538,43 @@ class ProductTensor:
         return self._operator(u, self.table)
 
     @cached_property
-    def associators(self) -> tuple:
-        """associators[i][j][k] = (e_i o e_j) o e_k - e_i o (e_j o e_k),
-        each one sparse sum over :attr:`nonzeros`."""
-        n = self.dim
+    def integral(self) -> tuple:
+        """(den, rows): rows[a][m] = the nonzero (k, num) of e_a o e_m as
+        ints over the one common denominator den, so that
+        table[a][m][k] == num / den exactly."""
         nz = self.nonzeros
+        den, nums = integral(c for row in nz for cell in row for _, c in cell)
+        it = iter(nums)
+        return den, tuple(tuple(tuple((k, next(it)) for k, _ in cell)
+                                for cell in row) for row in nz)
+
+    @cached_property
+    def associators(self) -> tuple:
+        """associators[i][j][k] = (e_i o e_j) o e_k - e_i o (e_j o e_k).
+
+        Each entry is one sparse sum over the integer rows of
+        :attr:`integral`, over den^2, converted to a scalar once."""
+        n = self.dim
+        den, rows = self.integral
+        den2 = den * den
+        # few distinct numerators recur, so each is converted to a scalar once
+        scalars = {0: ZERO}
 
         def entry(i, j, k):
-            acc = sparse_sum([(c, nz[a][k]) for a, c in nz[i][j]]
-                             + [(-d, nz[i][b]) for b, d in nz[j][k]])
-            return tuple(acc.get(m, ZERO) for m in range(n))
+            acc = [0] * n
+            for a, c in rows[i][j]:
+                for m, d in rows[a][k]:
+                    acc[m] += c * d
+            for b, c in rows[j][k]:
+                for m, d in rows[i][b]:
+                    acc[m] -= c * d
+            out = []
+            for x in acc:
+                q = scalars.get(x)
+                if q is None:
+                    q = scalars[x] = rational(x, den2)
+                out.append(q)
+            return tuple(out)
 
         return tuple(tuple(tuple(entry(i, j, k) for k in range(n))
                            for j in range(n)) for i in range(n))

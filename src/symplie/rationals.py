@@ -8,10 +8,16 @@ otherwise.  Every scalar enters the package through :func:`as_q` or
 Serialized rationals are strings ``"p"`` or ``"p/q"`` in lowest terms
 with a positive denominator and no whitespace; :func:`qstr` produces
 exactly that grammar and :func:`parse_rational` accepts nothing else.
+
+The hot loops run over Python ints: :func:`integral` writes a family of
+rationals as integer numerators over one common denominator, and
+:func:`rational` turns one numerator back into a scalar.  They are the
+only code that takes scalars apart or assembles them from integers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import SymplieError
@@ -49,7 +55,7 @@ def parse_rational(text: str):
         num, den = text.split("/")
         if int(den) == 0:
             raise RationalSyntaxError(f"zero denominator: {text!r}")
-        return Q(int(num), int(den))
+        return rational(int(num), int(den))
     return Q(int(text))
 
 
@@ -71,10 +77,23 @@ def as_q(value):
     num = getattr(value, "numerator", None)
     den = getattr(value, "denominator", None)
     if num is not None and den is not None:
-        return Q(int(num), int(den))
+        return rational(int(num), int(den))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def qstr(value) -> str:
     """Canonical string form: lowest terms, positive denominator."""
     return str(as_q(value))
+
+
+def integral(values) -> tuple:
+    """(den, nums): den is the lcm of the denominators of values (1 when
+    there are none) and nums[i] is the int with values[i] == nums[i] / den."""
+    values = list(values)
+    den = math.lcm(1, *(int(v.denominator) for v in values))
+    return den, [int(v.numerator) * (den // int(v.denominator)) for v in values]
+
+
+def rational(num: int, den: int):
+    """The scalar num / den, in lowest terms."""
+    return Q(num, den)

@@ -30,9 +30,9 @@ from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
                      common_kernel, commutator, inverse, is_zero_vector,
-                     kernel, rank, sparse, sparse_sum, subspace_intersect,
-                     unit_vector, vdot, vector)
-from .rationals import THIRD, ZERO, Q
+                     kernel, rank, sparse, subspace_intersect, unit_vector,
+                     vdot, vector)
+from .rationals import ZERO, Q, integral, rational
 
 
 class InvalidSymplecticError(SymplieError):
@@ -118,6 +118,32 @@ class SubspaceClass(enum.Enum):
 # ---------------------------------------------------------------------------
 # validation
 
+def _integral_rows(m: Matrix) -> tuple:
+    """(den, rows): rows[k] = the nonzero (w, num) of row k of m, as ints
+    over the common denominator den of all its entries."""
+    den, nums = integral(x for row in m.entries for x in row)
+    return den, [sparse(nums[k * m.cols:(k + 1) * m.cols]) for k in range(m.rows)]
+
+
+def _omega_brackets(algebra: LieAlgebra, form: SkewForm) -> tuple:
+    """(den, c): c[i][j][w] = den * omega([e_i, e_j], e_w) as ints, from
+    the bracket's integral rows and the Gram matrix's numerators."""
+    n = algebra.dim
+    bden, rows = algebra.bracket_tensor.integral
+    wden, gram = _integral_rows(form.matrix)
+    c = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            acc = [0] * n
+            for k, b in cell:
+                for w, x in gram[k]:
+                    acc[w] += b * x
+            cells.append(acc)
+        c.append(cells)
+    return bden * wden, c
+
+
 def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
     """Human-readable list of axiom violations (empty means valid)."""
     out = []
@@ -132,8 +158,8 @@ def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
         out.append("form matrix is not skew-symmetric")
     elif not form.is_nondegenerate():
         out.append("form is degenerate")
-    # c[i][j][k] = omega([e_i, e_j], e_k)
-    c = [[form.covector(cell) for cell in row] for row in algebra.table]
+    # c[i][j][k] is a fixed positive multiple of omega([e_i, e_j], e_k)
+    _, c = _omega_brackets(algebra, form)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -153,7 +179,14 @@ def validate_symplectic(algebra: LieAlgebra, form: SkewForm) -> "SymplecticLieAl
 # the main wrapper
 
 class FlatnessChecks(NamedTuple):
-    """Three independent flatness criteria; they must agree."""
+    """The flatness criteria as ``verify`` prints them.
+
+    They are one statement reached by two code paths.  Right-form
+    vanishing and left symmetry both say A(x, y, z) = A(y, x, z) on every
+    basis triple for the associator tensor A, so those two fields always
+    agree; the curvature loop is the other path, and
+    :attr:`SymplecticLieAlgebra.flatness` checks that it agrees with them.
+    """
 
     curvature_vanishes: bool
     right_form_vanishes: bool
@@ -184,15 +217,18 @@ class SymplecticLieAlgebra:
     def canonical_product(self) -> ProductTensor:
         """The torsion-free symplectic product described in the module docstring."""
         n = self.dim
-        dual = self.form.dual_matrix
-        # c[i][j][w] = omega([e_i, e_j], e_w)
-        c = [[self.form.covector(cell) for cell in row] for row in self.algebra.table]
+        dden, dual = _integral_rows(self.form.dual_matrix)
+        # c[i][j][w] = cden * omega([e_i, e_j], e_w)
+        cden, c = _omega_brackets(self.algebra, self.form)
+        # e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / (3 cden)
+        den = 3 * cden * dden
         rows = []
         for i in range(n):
             cells = []
             for j in range(n):
-                phi = [THIRD * (c[i][j][w] + c[i][w][j]) for w in range(n)]
-                cells.append(dual.apply(phi))
+                phi = [c[i][j][w] + c[i][w][j] for w in range(n)]
+                nums = [sum(x * phi[w] for w, x in dual_k) for dual_k in dual]
+                cells.append(tuple(rational(x, den) if x else ZERO for x in nums))
             rows.append(tuple(cells))
         return ProductTensor(n, tuple(rows))
 
@@ -226,12 +262,11 @@ class SymplecticLieAlgebra:
         """The first basis pair (i, j), i < j, where the canonical product
         has nonzero curvature, or None when it is flat."""
         p = self.canonical_product
-        table = self.algebra.table
-        bad = lie_admissibility_failure(p, table)
+        bad = lie_admissibility_failure(p, self.algebra.table)
         if bad is not None:
             raise FlatnessInvariantError(
                 f"canonical product is not Lie-admissible at {bad}")
-        return first_curvature_violation(p, table)
+        return first_curvature_violation(p, self.algebra.table)
 
     @property
     def is_flat(self) -> bool:
@@ -239,14 +274,14 @@ class SymplecticLieAlgebra:
 
     @cached_property
     def flatness(self) -> FlatnessChecks:
-        """All three criteria, cross-checked; :attr:`is_flat` needs only
-        the curvature one.
+        """The curvature loop cross-checked against the associator
+        tensor; :attr:`is_flat` needs only the curvature loop.
 
         The right-form and left-symmetry criteria read the cached
         associator tensor A of the canonical product.  Applied to e_m,
         (R_{e_i o e_j} - R_j R_i - [L_i, R_j]) e_m = A(i, m, j) - A(m, i, j),
         so the right form vanishes iff A(i, m, j) = A(m, i, j) for all
-        i, j, m.
+        i, j, m, which is left symmetry.
         """
         witness = self.curvature_witness
         curvature_ok = witness is None
@@ -295,21 +330,33 @@ def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
     """The first basis pair (i, j), i < j, in row-major order with
     L_[ei,ej] e_m != (L_ei L_ej - L_ej L_ei) e_m for some m, or None.
 
-    Works on the nonzero entries of the product table only and stops at
-    the first nonzero residual vector.
+    Works on the nonzero entries of the product and bracket tables only,
+    as ints, and stops at the first nonzero residual vector.
     """
+    den, nz = product.integral
+    bden, br = ProductTensor(product.dim, table).integral
     n = product.dim
-    nz = product.nonzeros
     for i in range(n):
         left_i = nz[i]
         for j in range(i + 1, n):
             left_j = nz[j]
-            bracket = sparse(table[i][j])
+            bracket = br[i][j]
             for m in range(n):
-                terms = ([(c, nz[a][m]) for a, c in bracket]
-                         + [(-c, left_i[k]) for k, c in left_j[m]]
-                         + [(c, left_j[k]) for k, c in left_i[m]])
-                if any(sparse_sum(terms).values()):
+                # den^2 * bden times the residual at e_m
+                acc = [0] * n
+                for a, c in bracket:
+                    c *= den
+                    for k, d in nz[a][m]:
+                        acc[k] += c * d
+                for k, c in left_j[m]:
+                    c *= bden
+                    for l, d in left_i[k]:
+                        acc[l] -= c * d
+                for k, c in left_i[m]:
+                    c *= bden
+                    for l, d in left_j[k]:
+                        acc[l] += c * d
+                if any(acc):
                     return (i, j)
     return None
 

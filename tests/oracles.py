@@ -7,17 +7,20 @@ matrices in a foreign CAS.  The reference series, center,
 admissibility check, associators and flatness criteria are the dense
 formulations the library used before it read the sparse product
 entries: full bilinear products and brackets, and one Matrix identity
-per basis index or pair.
+per basis index or pair.  The ``fraction_*`` references are the exact
+scalar loops the library ran before its hot loops moved to integer
+numerators over one common denominator.
 """
 
 import sympy
 
 from symplie.extension import (AdmissibilityReport, EquationCheck,
                                NotFlatError)
-from symplie.lie import DerivedSeries, LowerCentralSeries
-from symplie.linalg import (Matrix, Subspace, commutator, kernel, solve,
+from symplie.lie import DerivedSeries, JacobiViolation, LowerCentralSeries
+from symplie.linalg import (Matrix, Subspace, accumulate, commutator,
+                            is_zero_vector, kernel, solve, sparse, sparse_sum,
                             unit_vector, vector)
-from symplie.rationals import THIRD, Q, qstr
+from symplie.rationals import THIRD, ZERO, Q, qstr
 from symplie.symplectic import (FlatnessChecks, ProductTensor,
                                 curvature_residuals)
 
@@ -201,3 +204,94 @@ def reference_flatness(s, a: tuple) -> FlatnessChecks:
     witness = next((pair for pair, m in residuals.items() if not m.is_zero()), None)
     return FlatnessChecks(witness is None, reference_right_form_vanishes(p),
                           not reference_left_symmetry_violations(a), witness)
+
+
+# ---------------------------------------------------------------------------
+# the exact scalar loops that the integer kernel replaced
+
+def fraction_first_curvature_violation(product: ProductTensor, table):
+    """The first pair (i, j), i < j, with a nonzero curvature residual,
+    each residual one sparse sum of scalars over the nonzero entries."""
+    n = product.dim
+    nz = product.nonzeros
+    for i in range(n):
+        left_i = nz[i]
+        for j in range(i + 1, n):
+            left_j = nz[j]
+            bracket = sparse(table[i][j])
+            for m in range(n):
+                terms = ([(c, nz[a][m]) for a, c in bracket]
+                         + [(-c, left_i[k]) for k, c in left_j[m]]
+                         + [(c, left_j[k]) for k, c in left_i[m]])
+                if any(sparse_sum(terms).values()):
+                    return (i, j)
+    return None
+
+
+def fraction_associators(p: ProductTensor) -> tuple:
+    """Every (e_i o e_j) o e_k - e_i o (e_j o e_k) as a sparse sum of scalars."""
+    n = p.dim
+    nz = p.nonzeros
+
+    def entry(i, j, k):
+        acc = sparse_sum([(c, nz[a][k]) for a, c in nz[i][j]]
+                         + [(-d, nz[i][b]) for b, d in nz[j][k]])
+        return tuple(acc.get(m, ZERO) for m in range(n))
+
+    return tuple(tuple(tuple(entry(i, j, k) for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def fraction_validate(algebra) -> tuple:
+    """Every Jacobi violation on i < j < k with its scalar residual."""
+    n = algebra.dim
+    t = algebra.table
+    columns = algebra.bracket_tensor.columns
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = [ZERO] * n
+                for u, m in ((t[i][j], k), (t[j][k], i), (t[k][i], j)):
+                    accumulate(acc, u, columns[m])
+                if not is_zero_vector(acc):
+                    out.append(JacobiViolation((i, j, k), tuple(acc)))
+    return tuple(out)
+
+
+def fraction_omega_brackets(algebra, form) -> list:
+    """c[i][j][w] = omega([e_i, e_j], e_w) as scalars."""
+    return [[form.covector(cell) for cell in row] for row in algebra.table]
+
+
+def fraction_canonical_product(algebra, form) -> ProductTensor:
+    """e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / 3."""
+    n = algebra.dim
+    dual = form.dual_matrix
+    c = fraction_omega_brackets(algebra, form)
+    return ProductTensor(n, tuple(
+        tuple(dual.apply([THIRD * (c[i][j][w] + c[i][w][j]) for w in range(n)])
+              for j in range(n)) for i in range(n)))
+
+
+def fraction_symplectic_violations(algebra, form) -> list:
+    """symplectic_violations with the closedness sums over scalars."""
+    out = []
+    n = algebra.dim
+    if form.dim != n:
+        return [f"form dimension {form.dim} does not match algebra dimension {n}"]
+    if n % 2 != 0:
+        out.append(f"dimension {n} is odd")
+    for violation in fraction_validate(algebra):
+        out.append(f"Jacobi identity fails at basis triple {violation.triple}")
+    if not form.is_skew():
+        out.append("form matrix is not skew-symmetric")
+    elif not form.is_nondegenerate():
+        out.append("form is degenerate")
+    c = fraction_omega_brackets(algebra, form)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if c[i][j][k] + c[j][k][i] + c[k][i][j]:
+                    out.append(f"form is not closed at basis triple ({i}, {j}, {k})")
+    return out

@@ -1,9 +1,12 @@
 import fractions
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symplie.rationals import (ONE, ZERO, Q, RationalSyntaxError, as_q,
-                               parse_rational, qstr)
+                               integral, parse_rational, qstr, rational)
 
 
 class TestParse:
@@ -84,3 +87,40 @@ def test_constants():
     assert ZERO == Q(0) and ONE == Q(1)
     assert ZERO + ONE == ONE
     assert Q(1, 3) * 3 == ONE
+
+
+class TestIntegral:
+    def test_round_trip_with_negative_and_zero_entries(self):
+        values = [Q(-3, 4), ZERO, Q(5, 6), Q(-2), ONE, Q(0, 7)]
+        den, nums = integral(values)
+        assert den == 12
+        assert nums == [-9, 0, 10, -24, 12, 0]
+        assert [rational(x, den) for x in nums] == values
+
+    def test_den_is_the_lcm_not_the_product(self):
+        # max would give 6 and the product 24
+        den, nums = integral([Q(1, 4), Q(-1, 6)])
+        assert den == 12
+        assert nums == [3, -2]
+
+    def test_no_denominators_give_one(self):
+        assert integral([]) == (1, [])
+        assert integral(iter([ZERO, ZERO])) == (1, [0, 0])
+        assert integral([Q(4), Q(-7)]) == (1, [4, -7])
+
+    def test_plain_ints(self):
+        den, nums = integral([Q(2, 3), Q(-1, 3)])
+        assert type(den) is int and all(type(x) is int for x in nums)
+
+    def test_rational_is_in_lowest_terms(self):
+        q = rational(-4, 6)
+        assert q == Q(-2, 3) and int(q.denominator) == 3
+        assert rational(0, 9) == ZERO
+
+    @given(st.lists(st.builds(Q, st.integers(-50, 50), st.integers(1, 60)),
+                    max_size=12))
+    def test_round_trip_property(self, values):
+        den, nums = integral(values)
+        assert den > 0 and len(nums) == len(values)
+        assert [rational(x, den) for x in nums] == values
+        assert den == math.lcm(1, *(int(v.denominator) for v in values))
