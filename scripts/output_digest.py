@@ -2,9 +2,8 @@
 """Fingerprint everything the CLI prints and writes, to show that a change
 leaves the output byte for byte as it was.
 
-    python3 scripts/output_digest.py                      # the full set
+    python3 scripts/output_digest.py                      # this checkout
     python3 scripts/output_digest.py --src OTHER/src      # another checkout
-    python3 scripts/output_digest.py --list > a.txt       # one line per command
 
 Every command runs in process through ``symplie.cli.main`` inside a
 scratch directory, with relative file names, so the record of a command
@@ -12,7 +11,7 @@ scratch directory, with relative file names, so the record of a command
 writes) does not depend on where it runs.  The command set:
 
 - ``catalog export`` of every catalog entry;
-- on each catalog entry and on ``--dense`` seeded dense bases of every
+- on each catalog entry and on DENSE seeded dense bases of every
   entry of dimension >= 2: ``verify`` with ``--report`` all, flat and
   structure, ``classify``, ``reduce --auto``, and one ``reduce`` step
   with ``--out`` and ``--pair-out``;
@@ -40,6 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DENSE = 5
 GROUPS = ("export", "verify", "classify", "reduce", "extend", "documents")
 
 
@@ -112,9 +112,8 @@ def pair_document(pair) -> dict:
 # running commands
 
 class Digest:
-    def __init__(self, cli, listing: bool):
+    def __init__(self, cli):
         self.cli = cli
-        self.listing = listing
         self.groups = {g: hashlib.sha256() for g in GROUPS}
         self.written = []  # algebra documents, in the order they were written
 
@@ -129,8 +128,6 @@ class Digest:
                 record["files"][path] = Path(path).read_text()
         blob = json.dumps(record, sort_keys=True).encode()
         self.groups[group].update(hashlib.sha256(blob).digest())
-        if self.listing:
-            print(group, hashlib.sha256(blob).hexdigest(), " ".join(argv))
         return code
 
     def algebra_commands(self, source: list, tag: str):
@@ -158,8 +155,11 @@ class Digest:
         return digests
 
 
-def run_all(cli, catalog, entries, dense: int, points, listing: bool) -> dict:
-    d = Digest(cli, listing)
+def run_all(cli, catalog, entries, dense: int, points=None) -> dict:
+    """The group digests over entries, with dense bases per entry of dim
+    >= 2 and the first points family grid points (all when None); run it
+    in an empty working directory."""
+    d = Digest(cli)
     exported = {}
     for name in entries:
         path = f"{name}.json"
@@ -196,24 +196,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory symplie is imported from (default: this checkout)")
-    ap.add_argument("--entry", action="append",
-                    help="catalog entry to use (repeatable; default: all)")
-    ap.add_argument("--dense", type=int, default=5,
-                    help="seeded dense bases per entry of dim >= 2 (default 5)")
-    ap.add_argument("--points", type=int, default=None,
-                    help="extend only the first N family grid points (default: all)")
-    ap.add_argument("--list", action="store_true",
-                    help="also print one line per command with its digest")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from symplie import catalog, cli
 
-    entries = args.entry or list(catalog.names())
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="symplie-digest-") as tmp:
         os.chdir(tmp)
         try:
-            digests = run_all(cli, catalog, entries, args.dense, args.points, args.list)
+            digests = run_all(cli, catalog, list(catalog.names()), DENSE)
         finally:
             os.chdir(cwd)
     for group, value in digests.items():

@@ -12,7 +12,9 @@ exactly that grammar and :func:`parse_rational` accepts nothing else.
 The hot loops run over Python ints: :func:`integral` writes a family of
 rationals as integer numerators over one common denominator, and
 :func:`rational` turns one numerator back into a scalar.  They are the
-only code that takes scalars apart or assembles them from integers.
+only code that reads a scalar's numerator and denominator or builds a
+scalar from a computed numerator and denominator; the fractions
+elsewhere are literal constants ``Q(p, q)``, which both backends accept.
 """
 
 from __future__ import annotations
@@ -74,10 +76,9 @@ def as_q(value):
         return parse_rational(value)
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass an int, string or rational")
-    num = getattr(value, "numerator", None)
-    den = getattr(value, "denominator", None)
-    if num is not None and den is not None:
-        return rational(int(num), int(den))
+    if hasattr(value, "numerator") and hasattr(value, "denominator"):
+        den, (num,) = integral((value,))
+        return rational(num, den)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -266,7 +266,7 @@ class SymplecticLieAlgebra:
         if bad is not None:
             raise FlatnessInvariantError(
                 f"canonical product is not Lie-admissible at {bad}")
-        return first_curvature_violation(p, self.algebra.table)
+        return _first_curvature_violation(p, self.algebra.bracket_tensor.integral)
 
     @property
     def is_flat(self) -> bool:
@@ -333,8 +333,14 @@ def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
     Works on the nonzero entries of the product and bracket tables only,
     as ints, and stops at the first nonzero residual vector.
     """
+    return _first_curvature_violation(product, ProductTensor(product.dim, table).integral)
+
+
+def _first_curvature_violation(product: ProductTensor, bracket: tuple) -> Optional[tuple]:
+    """first_curvature_violation with the bracket table given as its
+    integral (bden, rows), as in :attr:`ProductTensor.integral`."""
     den, nz = product.integral
-    bden, br = ProductTensor(product.dim, table).integral
+    bden, br = bracket
     n = product.dim
     for i in range(n):
         left_i = nz[i]

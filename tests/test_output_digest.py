@@ -6,7 +6,7 @@ import random
 import re
 from pathlib import Path
 
-from symplie import catalog
+from symplie import catalog, cli
 from symplie.documents import algebra_to_document, document_to_algebra
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,20 +15,18 @@ spec = importlib.util.spec_from_file_location(
 output_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(output_digest)
 
-ARGS = ["--entry", "r_h3_dim4", "--dense", "1", "--points", "2"]
+
+def digests(monkeypatch, where: Path) -> dict:
+    where.mkdir()
+    monkeypatch.chdir(where)
+    return output_digest.run_all(cli, catalog, ["r_h3_dim4"], 1, 2)
 
 
-def digests(capsys) -> dict:
-    assert output_digest.main(ARGS) == 0
-    lines = capsys.readouterr().out.splitlines()
-    return dict(line.split() for line in lines)
-
-
-def test_one_entry(capsys):
-    first = digests(capsys)
+def test_one_entry(monkeypatch, tmp_path):
+    first = digests(monkeypatch, tmp_path / "first")
     assert list(first) == [*output_digest.GROUPS, "overall"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", v) for v in first.values())
-    assert digests(capsys) == first
+    assert digests(monkeypatch, tmp_path / "second") == first
 
 
 def test_dense_document_is_the_same_algebra():
