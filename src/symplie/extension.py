@@ -117,10 +117,12 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
         raise ValueError(f"b0 must have length {n}")
 
     p = base.canonical_product
-    xi_star = base.adjoint(xi)
-    skew = xi_star - xi
     r_b0 = p.right(b0)
     r_b0_star = base.adjoint(r_b0)
+    # adjoint_map keeps its last result: xi* last, so that
+    # build_extension_candidate reuses it
+    xi_star = base.adjoint(xi)
+    skew = xi_star - xi
     checks = []
 
     checks.append(EquationCheck(

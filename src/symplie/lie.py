@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel,
-                     inverse, is_zero_vector, sparse, sparse_sum, unit_vector)
+                     inverse, is_zero_vector, sparse, sparse_sum)
 from .rationals import ZERO, as_q, rational
 
 
@@ -205,9 +205,11 @@ class LieAlgebra:
         return self.derived_series().solvable
 
     def trace_character(self) -> Vec:
-        """The covector u -> tr(ad_u), evaluated on the basis."""
-        return tuple(self.ad(unit_vector(self.dim, i)).trace()
-                     for i in range(self.dim))
+        """The covector u -> tr(ad_u), evaluated on the basis:
+        tr ad_{e_i} = sum_m [e_i, e_m]_m, read off the table."""
+        n = self.dim
+        return tuple(sum((self.table[i][m][m] for m in range(n)), ZERO)
+                     for i in range(n))
 
     def is_unimodular(self) -> bool:
         return is_zero_vector(self.trace_character())

@@ -406,14 +406,20 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(vector(v)) for v in vectors]
+        rows = [[as_q(x) for x in v] for v in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
         _rref_rows(rows, ambient_dim)
-        cols = [tuple(r) for r in rows if any(r)]
-        return cls(ambient_dim, Matrix.from_cols(cols) if cols
-                   else Matrix.zeros(ambient_dim, 0))
+        # the nonzero rows of a reduced row echelon form are the columns of
+        # a reduced column echelon basis, so they need no second check
+        cols = [r for r in rows if any(r)]
+        basis = Matrix(ambient_dim, len(cols),
+                       tuple(zip(*cols)) if cols else ((),) * ambient_dim)
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient_dim", ambient_dim)
+        object.__setattr__(out, "basis", basis)
+        return out
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -592,7 +598,3 @@ class ProductTensor:
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(v) for row in self.table for v in row)
-
-    def product_span(self) -> Subspace:
-        gens = [v for row in self.table for v in row]
-        return Subspace.span(self.dim, gens)

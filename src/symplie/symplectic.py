@@ -32,7 +32,7 @@ from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
                      common_kernel, commutator, inverse, is_zero_vector,
                      kernel, rank, sparse, subspace_intersect, unit_vector,
                      vdot, vector)
-from .rationals import ZERO, Q, integral, rational
+from .rationals import ZERO, integral, rational
 
 
 class InvalidSymplecticError(SymplieError):
@@ -86,6 +86,12 @@ class SkewForm:
         return rank(self.matrix) == self.dim
 
     @cached_property
+    def integral(self) -> tuple:
+        """(den, rows): rows[k] = the nonzero (w, num) of row k of the
+        Gram matrix, as ints over the common denominator den."""
+        return _integral_rows(self.matrix)
+
+    @cached_property
     def inverse_matrix(self) -> Matrix:
         try:
             return inverse(self.matrix)
@@ -102,10 +108,21 @@ class SkewForm:
         return self.dual_matrix.apply(vector(phi))
 
     def adjoint_map(self, f: Matrix) -> Matrix:
-        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W."""
+        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W.
+
+        The last f and f* are kept, so that check_admissible and
+        build_extension_candidate, called in turn by double_extend with
+        the same xi, compute xi* once between them.
+        """
         if f.shape != (self.dim, self.dim):
             raise ValueError("endomorphism shape mismatch")
-        return self.inverse_matrix @ f.transpose() @ self.matrix
+        last = self.__dict__.get("_last_adjoint")
+        if last is not None and last[0] == f:
+            return last[1]
+        f_star = self.inverse_matrix @ f.transpose() @ self.matrix
+        # a frozen dataclass, so the cache goes straight into __dict__
+        self.__dict__["_last_adjoint"] = (f, f_star)
+        return f_star
 
 
 class SubspaceClass(enum.Enum):
@@ -130,7 +147,7 @@ def _omega_brackets(algebra: LieAlgebra, form: SkewForm) -> tuple:
     the bracket's integral rows and the Gram matrix's numerators."""
     n = algebra.dim
     bden, rows = algebra.bracket_tensor.integral
-    wden, gram = _integral_rows(form.matrix)
+    wden, gram = form.integral
     c = []
     for row in rows:
         cells = []
@@ -406,14 +423,7 @@ def perp(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> Subspace:
 
 def classify_subspace(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> SubspaceClass:
     """Most specific of: lagrangian, totally isotropic, degenerate, nondegenerate."""
-    fperp = perp(s, f)
-    if f == fperp:
-        return SubspaceClass.LAGRANGIAN
-    if f.is_subspace_of(fperp):
-        return SubspaceClass.TOTALLY_ISOTROPIC
-    if subspace_intersect(f, fperp).dim > 0:
-        return SubspaceClass.DEGENERATE
-    return SubspaceClass.NONDEGENERATE
+    return _classify(f, perp(s, f))
 
 
 def is_degenerate_subspace(s, f: Subspace) -> bool:
@@ -457,6 +467,66 @@ def darboux_basis(form: SkewForm) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# integer contractions
+#
+# The kernels and the structural claims run over Python ints: the product
+# and bracket tables as the rows of their cached integral, omega as the
+# integral rows of its Gram matrix, and a subspace basis column by column
+# as int numerators.  Each is a positive multiple of what it stands for,
+# which no zero test, kernel or span can tell apart.
+
+def _int_dense(cell, n: int) -> list:
+    """The dense int vector with the nonzero (k, num) of cell."""
+    v = [0] * n
+    for k, c in cell:
+        v[k] = c
+    return v
+
+
+def _int_columns(f: Subspace) -> list:
+    """The basis columns of f, each as the nonzero (k, num) of its integral."""
+    return [sparse(integral(col)[1]) for col in f.columns()]
+
+
+def _int_product(rows, u, v, n: int) -> list:
+    """sum_{i,j} u_i v_j rows[i][j] as a dense int list, for u and v
+    given by their nonzero (k, num) and rows as in ProductTensor.integral."""
+    acc = [0] * n
+    for i, a in u:
+        row = rows[i]
+        for j, b in v:
+            ab = a * b
+            for k, c in row[j]:
+                acc[k] += ab * c
+    return acc
+
+
+def _int_covectors(s: SymplecticLieAlgebra, cols) -> list:
+    """omega(c, e_w) for every w, as ints, for each c in cols."""
+    _, gram = s.form.integral
+    n = s.dim
+    out = []
+    for c in cols:
+        acc = [0] * n
+        for k, a in c:
+            for w, x in gram[k]:
+                acc[w] += a * x
+        out.append(acc)
+    return out
+
+
+def _annihilated(covectors, x) -> bool:
+    """omega(c, x) = 0 for every covector omega(c, .) listed."""
+    return not any(sum(a * b for a, b in zip(cov, x) if b) for cov in covectors)
+
+
+def _in_left_kernel(rows, x, n: int) -> bool:
+    """x o e_m = 0 for every m, for the int vector x."""
+    x = sparse(x)
+    return not any(any(_int_product(rows, x, ((m, 1),), n)) for m in range(n))
+
+
+# ---------------------------------------------------------------------------
 # derived invariants of the canonical product
 
 def h_vector(s: SymplecticLieAlgebra) -> Vec:
@@ -471,11 +541,13 @@ class MultiplicationKernels(NamedTuple):
 
 
 def multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernels:
-    p = s.canonical_product
+    n = s.dim
+    _, rows = s.canonical_product.integral
+    table = [[_int_dense(cell, n) for cell in row] for row in rows]
     # L_u = sum_i u_i L_{e_i}, and table[i] lists the columns of L_{e_i}
-    return MultiplicationKernels(common_kernel(p.table, s.dim),
-                                 common_kernel(p.columns, s.dim),
-                                 p.product_span())
+    return MultiplicationKernels(common_kernel(table, n),
+                                 common_kernel(list(zip(*table)), n),
+                                 Subspace.span(n, [v for row in table for v in row]))
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +593,42 @@ class StructuralReport:
 
 def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace) -> tuple:
     """(holds, detail) for: Iperp o I <= I, I o Iperp <= I,
-    Iperp o Iperp <= Iperp, and Iperp a Lie subalgebra."""
-    p = s.canonical_product
-    iperp = perp(s, ideal)
-    icols = ideal.columns()
-    pcols = iperp.columns()
+    Iperp o Iperp <= Iperp, and Iperp a Lie subalgebra.
+
+    omega is nondegenerate, so I = (Iperp)perp: a vector lies in I iff
+    omega pairs it to zero with every basis column of Iperp, and in Iperp
+    iff it does so with every basis column of I.  Any subspace I will do.
+    """
+    n = s.dim
+    _, prows = s.canonical_product.integral
+    _, brows = s.algebra.bracket_tensor.integral
+    icols = _int_columns(ideal)
+    pcols = _int_columns(perp(s, ideal))
+    into_i = _int_covectors(s, pcols)
+    into_perp = _int_covectors(s, icols)
     for u in pcols:
         for v in icols:
-            if not ideal.contains(p.apply(u, v)):
+            if not _annihilated(into_i, _int_product(prows, u, v, n)):
                 return False, "Iperp o I escapes I"
-            if not ideal.contains(p.apply(v, u)):
+            if not _annihilated(into_i, _int_product(prows, v, u, n)):
                 return False, "I o Iperp escapes I"
     for u in pcols:
         for v in pcols:
-            if not iperp.contains(p.apply(u, v)):
+            if not _annihilated(into_perp, _int_product(prows, u, v, n)):
                 return False, "Iperp o Iperp escapes Iperp"
-            if not iperp.contains(s.algebra.bracket(u, v)):
+            if not _annihilated(into_perp, _int_product(brows, u, v, n)):
                 return False, "Iperp is not a Lie subalgebra"
     return True, ""
+
+
+def _classify(f: Subspace, fperp: Subspace) -> SubspaceClass:
+    if f == fperp:
+        return SubspaceClass.LAGRANGIAN
+    if f.is_subspace_of(fperp):
+        return SubspaceClass.TOTALLY_ISOTROPIC
+    if subspace_intersect(f, fperp).dim > 0:
+        return SubspaceClass.DEGENERATE
+    return SubspaceClass.NONDEGENERATE
 
 
 def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
@@ -549,10 +639,15 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     The two degeneracy claims additionally require a nonzero derived
     ideal: for abelian algebras both the center and the derived ideal
     are trivially nondegenerate, so the claims are vacuous there.
+
+    Each claim is an int contraction of the integral product, bracket
+    and Gram rows; only the subspaces themselves come from elimination.
     """
     alg = s.algebra
     n = s.dim
     p = s.canonical_product
+    pden, prows = p.integral
+    bden, brows = alg.bracket_tensor.integral
     flat = s.is_flat
     center = s.center
     derived = s.derived
@@ -564,10 +659,13 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     unimodular = alg.is_unimodular()
     lcs = alg.lower_central_series()
     abelian = derived.dim == 0
-    ads = [alg.ad(unit_vector(n, i)) for i in range(n)]
-    # tr R_{e_i} = sum_m (e_m o e_i)_m, read off the table
-    right_traces = [sum((p.table[m][i][m] for m in range(n)), ZERO)
+    units = [((i, 1),) for i in range(n)]
+    dcols = _int_columns(dperp)
+    # pden tr R_{e_i} = sum_m (e_m o e_i)_m and bden tr ad_{e_i} = sum_m [e_i, e_m]_m
+    right_traces = [sum(c for m in range(n) for k, c in prows[m][i] if k == m)
                     for i in range(n)]
+    ad_traces = [sum(c for m in range(n) for k, c in brows[i][m] if k == m)
+                 for i in range(n)]
 
     claims = []
 
@@ -575,8 +673,11 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
         claims.append(Claim(name, applicable, holds if applicable else None, detail))
 
     # --- unconditional -----------------------------------------------------
-    skew_ad = common_kernel([(ads[i] + s.adjoint(ads[i])).entries
-                             for i in range(n)], n)
+    # ad_u* = -ad_u iff omega([u, e_a], e_b) = omega([u, e_b], e_a) for all
+    # a < b, one int equation per pair with c[i][a][b] ~ omega([e_i, e_a], e_b)
+    _, c = _omega_brackets(alg, s.form)
+    skew_ad = common_kernel([[[c[i][a][b] - c[i][b][a] for b in range(a + 1, n)]
+                              for a in range(n)] for i in range(n)], n)
     claim("derived_perp_characterization", True, dperp == skew_ad,
           "[g,g]-perp = {u : ad_u* = -ad_u}")
     claim("center_is_products_perp", True, center == perp(s, kernels.product_span))
@@ -589,14 +690,14 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     holds, detail = _ideal_perp_rules(s, center)
     claim("center_ideal_perp_rules", True, holds, detail)
     claim("right_trace_identity", True,
-          all(right_traces[i] == -ads[i].trace() for i in range(n)),
+          all(right_traces[i] * bden == -ad_traces[i] * pden for i in range(n)),
           "tr R_u = -tr ad_u")
-    ok = True
-    for u in dperp.columns():
-        adu = alg.ad(u)
-        if p.left(u) != adu.scale(Q(2, 3)) or p.right(u) != adu.scale(Q(-1, 3)):
-            ok = False
-            break
+    # L_u = (2/3) ad_u and R_u = -(1/3) ad_u, column by column, times 3 pden bden
+    ok = all(3 * bden * x == 2 * pden * y and 3 * bden * z == -pden * y
+             for u in dcols for m in units
+             for x, y, z in zip(_int_product(prows, u, m, n),
+                                _int_product(brows, u, m, n),
+                                _int_product(prows, m, u, n)))
     claim("derived_perp_operator_identities", True, ok,
           "L_u = (2/3) ad_u and R_u = -(1/3) ad_u on [g,g]-perp")
 
@@ -610,6 +711,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
           "Z-perp inside Z forces flat + associative + class <= 2")
 
     # --- flat only ----------------------------------------------------------
+    # the conditions below are evaluated only when they apply
     claim("flat_nilpotent", flat, lcs.nilpotency_class is not None,
           f"class {lcs.nilpotency_class}" if lcs.nilpotency_class is not None else "")
     claim("flat_center_nonzero", flat and n > 0, center.dim > 0,
@@ -622,31 +724,35 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
           f"dim([g,g] meet [g,g]-perp) = {dmeet.dim}")
     claim("flat_h_vanishes", flat, is_zero_vector(h))
     claim("flat_h_in_derived_meet_perp", flat,
-          derived.contains(h) and dperp.contains(h))
-    ok = all(is_zero_vector(p.apply(u, v))
-             for u in dperp.columns() for v in dperp.columns())
+          flat and derived.contains(h) and dperp.contains(h))
+    ok = flat and not any(any(_int_product(prows, u, v, n))
+                          for u in dcols for v in dcols)
     claim("flat_derived_perp_products_vanish", flat, ok)
-    ok = all((alg.ad(u) @ alg.ad(v)).is_zero()
-             for u in dperp.columns() for v in dperp.columns())
+    # ad_u ad_v = 0 iff [u, x] = 0 for every x = [v, e_k]
+    ad_rows = [sparse(_int_product(brows, v, e, n)) for v in dcols for e in units]
+    ok = flat and not any(any(_int_product(brows, u, x, n))
+                          for u in dcols for x in ad_rows)
     claim("flat_derived_perp_ad_compose_zero", flat, ok)
-    ok = all(nl.contains(p.apply(unit_vector(n, i), v))
-             and nl.contains(p.apply(v, unit_vector(n, i)))
-             for i in range(n) for v in nl.columns())
+    ncols = _int_columns(nl)
+    ok = flat and all(_in_left_kernel(prows, _int_product(prows, e, v, n), n)
+                      and _in_left_kernel(prows, _int_product(prows, v, e, n), n)
+                      for e in units for v in ncols)
     claim("flat_left_kernel_two_sided_ideal", flat, ok)
-    ok = all(nl.contains(alg.bracket(unit_vector(n, i), u))
-             for i in range(n) for u in dperp.columns())
+    ok = flat and all(_in_left_kernel(prows, _int_product(brows, e, u, n), n)
+                      for e in units for u in dcols)
     claim("flat_bracket_derived_perp_in_left_kernel", flat, ok)
-    complete = all(t == ZERO for t in right_traces)
+    complete = not any(right_traces)
     claim("flat_complete_iff_unimodular", flat, complete == unimodular,
           f"complete={complete}, unimodular={unimodular}")
-    claim("flat_unimodular_solvable", flat and unimodular, alg.is_solvable())
+    claim("flat_unimodular_solvable", flat and unimodular,
+          flat and unimodular and alg.is_solvable())
 
     return StructuralReport(
         claims=tuple(claims),
         is_flat=flat,
         nilpotency_class=lcs.nilpotency_class,
-        center_kind=classify_subspace(s, center),
-        derived_kind=classify_subspace(s, derived),
+        center_kind=_classify(center, zperp),
+        derived_kind=_classify(derived, dperp),
         unimodular=unimodular,
         h=h,
     )

@@ -9,7 +9,10 @@ formulations the library used before it read the sparse product
 entries: full bilinear products and brackets, and one Matrix identity
 per basis index or pair.  The ``fraction_*`` references are the exact
 scalar loops the library ran before its hot loops moved to integer
-numerators over one common denominator.
+numerators over one common denominator.  The reference structural
+report is the formulation the library used before its claims moved to
+integer contractions: dense ad, L and R matrices, the omega-adjoint
+W^-1 ad^T W, and a full product plus Subspace.contains per membership.
 """
 
 import sympy
@@ -17,12 +20,13 @@ import sympy
 from symplie.extension import (AdmissibilityReport, EquationCheck,
                                NotFlatError)
 from symplie.lie import DerivedSeries, JacobiViolation, LowerCentralSeries
-from symplie.linalg import (Matrix, Subspace, accumulate, commutator,
-                            is_zero_vector, kernel, solve, sparse, sparse_sum,
-                            unit_vector, vector)
+from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
+                            commutator, is_zero_vector, kernel, solve, sparse,
+                            sparse_sum, subspace_intersect, unit_vector, vector)
 from symplie.rationals import THIRD, ZERO, Q, qstr
-from symplie.symplectic import (FlatnessChecks, ProductTensor,
-                                curvature_residuals)
+from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor,
+                                StructuralReport, classify_subspace,
+                                curvature_residuals, perp)
 
 
 def brute_force_canonical_product(algebra, form) -> ProductTensor:
@@ -295,3 +299,134 @@ def fraction_symplectic_violations(algebra, form) -> list:
                 if c[i][j][k] + c[j][k][i] + c[k][i][j]:
                     out.append(f"form is not closed at basis triple ({i}, {j}, {k})")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the structural report in exact scalars, with dense operators
+
+def reference_ideal_perp_rules(s, ideal: Subspace) -> tuple:
+    """(holds, detail) for: Iperp o I <= I, I o Iperp <= I,
+    Iperp o Iperp <= Iperp, and Iperp a Lie subalgebra, from full
+    products and Subspace.contains."""
+    p = s.canonical_product
+    iperp = perp(s, ideal)
+    icols = ideal.columns()
+    pcols = iperp.columns()
+    for u in pcols:
+        for v in icols:
+            if not ideal.contains(p.apply(u, v)):
+                return False, "Iperp o I escapes I"
+            if not ideal.contains(p.apply(v, u)):
+                return False, "I o Iperp escapes I"
+    for u in pcols:
+        for v in pcols:
+            if not iperp.contains(p.apply(u, v)):
+                return False, "Iperp o Iperp escapes Iperp"
+            if not iperp.contains(s.algebra.bracket(u, v)):
+                return False, "Iperp is not a Lie subalgebra"
+    return True, ""
+
+
+def reference_structural_report(s) -> StructuralReport:
+    """structural_report with dense ad, L and R matrices, the adjoint
+    W^-1 ad^T W, full products and subspace membership tests."""
+    alg = s.algebra
+    n = s.dim
+    p = s.canonical_product
+    flat = s.is_flat
+    center = s.center
+    derived = s.derived
+    dperp = perp(s, derived)
+    zperp = perp(s, center)
+    nl = common_kernel(p.table, n)
+    nr = common_kernel(p.columns, n)
+    ads = [alg.ad(unit_vector(n, i)) for i in range(n)]
+    ad_traces = tuple(a.trace() for a in ads)
+    h = s.form.dual_of_covector(ad_traces)
+    unimodular = is_zero_vector(ad_traces)
+    lcs = alg.lower_central_series()
+    abelian = derived.dim == 0
+    # tr R_{e_i} = sum_m (e_m o e_i)_m, read off the table
+    right_traces = [sum((p.table[m][i][m] for m in range(n)), ZERO)
+                    for i in range(n)]
+
+    claims = []
+
+    def claim(name, applicable, holds, detail=""):
+        claims.append(Claim(name, applicable, holds if applicable else None, detail))
+
+    skew_ad = common_kernel([(ads[i] + s.adjoint(ads[i])).entries
+                             for i in range(n)], n)
+    claim("derived_perp_characterization", True, dperp == skew_ad,
+          "[g,g]-perp = {u : ad_u* = -ad_u}")
+    products = Subspace.span(n, [v for row in p.table for v in row])
+    claim("center_is_products_perp", True, center == perp(s, products))
+    claim("center_is_left_meet_right_kernel", True,
+          center == subspace_intersect(nl, nr))
+    claim("center_is_left_kernel_meet_derived_perp", True,
+          center == subspace_intersect(nl, dperp))
+    holds, detail = reference_ideal_perp_rules(s, derived)
+    claim("derived_ideal_perp_rules", True, holds, detail)
+    holds, detail = reference_ideal_perp_rules(s, center)
+    claim("center_ideal_perp_rules", True, holds, detail)
+    claim("right_trace_identity", True,
+          all(right_traces[i] == -ad_traces[i] for i in range(n)),
+          "tr R_u = -tr ad_u")
+    ok = True
+    for u in dperp.columns():
+        adu = alg.ad(u)
+        if p.left(u) != adu.scale(Q(2, 3)) or p.right(u) != adu.scale(Q(-1, 3)):
+            ok = False
+            break
+    claim("derived_perp_operator_identities", True, ok,
+          "L_u = (2/3) ad_u and R_u = -(1/3) ad_u on [g,g]-perp")
+
+    lagr_applicable = zperp.is_subspace_of(center)
+    lagr_holds = None
+    if lagr_applicable:
+        lagr_holds = (flat and p.is_associative()
+                      and lcs.nilpotency_class is not None
+                      and lcs.nilpotency_class <= 2)
+    claim("lagrangian_center_criterion", lagr_applicable, lagr_holds,
+          "Z-perp inside Z forces flat + associative + class <= 2")
+
+    claim("flat_nilpotent", flat, lcs.nilpotency_class is not None,
+          f"class {lcs.nilpotency_class}" if lcs.nilpotency_class is not None else "")
+    claim("flat_center_nonzero", flat and n > 0, center.dim > 0,
+          f"dim Z = {center.dim}")
+    zmeet = subspace_intersect(center, zperp)
+    claim("flat_center_degenerate", flat and not abelian, zmeet.dim > 0,
+          f"dim(Z meet Z-perp) = {zmeet.dim}")
+    dmeet = subspace_intersect(derived, dperp)
+    claim("flat_derived_degenerate", flat and not abelian, dmeet.dim > 0,
+          f"dim([g,g] meet [g,g]-perp) = {dmeet.dim}")
+    claim("flat_h_vanishes", flat, is_zero_vector(h))
+    claim("flat_h_in_derived_meet_perp", flat,
+          derived.contains(h) and dperp.contains(h))
+    ok = all(is_zero_vector(p.apply(u, v))
+             for u in dperp.columns() for v in dperp.columns())
+    claim("flat_derived_perp_products_vanish", flat, ok)
+    ok = all((alg.ad(u) @ alg.ad(v)).is_zero()
+             for u in dperp.columns() for v in dperp.columns())
+    claim("flat_derived_perp_ad_compose_zero", flat, ok)
+    ok = all(nl.contains(p.apply(unit_vector(n, i), v))
+             and nl.contains(p.apply(v, unit_vector(n, i)))
+             for i in range(n) for v in nl.columns())
+    claim("flat_left_kernel_two_sided_ideal", flat, ok)
+    ok = all(nl.contains(alg.bracket(unit_vector(n, i), u))
+             for i in range(n) for u in dperp.columns())
+    claim("flat_bracket_derived_perp_in_left_kernel", flat, ok)
+    complete = all(t == ZERO for t in right_traces)
+    claim("flat_complete_iff_unimodular", flat, complete == unimodular,
+          f"complete={complete}, unimodular={unimodular}")
+    claim("flat_unimodular_solvable", flat and unimodular, alg.is_solvable())
+
+    return StructuralReport(
+        claims=tuple(claims),
+        is_flat=flat,
+        nilpotency_class=lcs.nilpotency_class,
+        center_kind=classify_subspace(s, center),
+        derived_kind=classify_subspace(s, derived),
+        unimodular=unimodular,
+        h=h,
+    )

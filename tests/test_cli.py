@@ -379,3 +379,29 @@ class TestNestedJson:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestModuleEntryPoint:
+    """python -m symplie runs cli.main in a real process and exits with
+    its code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--catalog", "g6_3"], 0),
+        (["verify", "--catalog", "no_such_entry"], 1),
+        (["verify", "--catalog", "aff1", "--report", "flat"], 2),
+    ])
+    def test_exit_code(self, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "symplie"] + argv,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert proc.stdout.startswith("input: g6_3 (dim 6)\n")
+            assert "FAIL" not in proc.stdout
+        if code == 1:
+            assert proc.stderr.startswith("error: ")
+        if code == 2:
+            assert "first_violation_at: (0, 1)" in proc.stdout

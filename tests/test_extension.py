@@ -12,7 +12,8 @@ from symplie.extension import (AdmissiblePair, NotAdmissibleError,
                                tower_transform, zero_symplectic)
 from symplie.linalg import Matrix, Subspace, unit_vector
 from symplie.rationals import Q
-from symplie.symplectic import (InvalidSymplecticError, change_of_basis,
+from symplie.symplectic import (InvalidSymplecticError, SkewForm,
+                                SymplecticLieAlgebra, change_of_basis,
                                 symplectic_violations, validate_symplectic)
 from test_kernels import dense_change_of_basis
 
@@ -114,6 +115,28 @@ class TestDoubleExtend:
         with pytest.raises(NotAdmissibleError) as info:
             double_extend(base, AdmissiblePair(NILP2, (1, 2)))
         assert "skew_part_kills_b0" in str(info.value)
+
+    def test_xi_star_computed_once(self, entries, monkeypatch):
+        """check_admissible and build_extension_candidate share one xi*."""
+        results = []
+        original = SkewForm.adjoint_map
+
+        def spy(self, f):
+            out = original(self, f)
+            results.append((f, out))
+            return out
+
+        monkeypatch.setattr(SkewForm, "adjoint_map", spy)
+        points = (catalog.admissible_family(fam, params) for fam in catalog.family_names()
+                  for params in catalog.family_parameter_grid(fam))
+        base_name, pair = next(pt for pt in points if not pt[1].xi.is_zero())
+        base = entries[base_name].algebra
+        base = SymplecticLieAlgebra(base.algebra, base.form)
+        double_extend(base, pair)
+        stars = [out for f, out in results if f is pair.xi]
+        assert len(stars) == 2
+        assert stars[0] is stars[1]
+        assert stars[0] == base.form.inverse_matrix @ pair.xi.transpose() @ base.form.matrix
 
     def test_inadmissible_candidate_really_breaks(self, entries):
         # the unchecked build must fail the axioms, not silently succeed

@@ -180,6 +180,22 @@ class TestSubspace:
             assert s.contains(v)
         assert Subspace.span(4, s.columns()) == s
 
+    @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
+                    min_size=0, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_span_basis_passes_the_constructor_check(self, vecs):
+        # span builds its basis without the check; the constructor keeps it
+        s = Subspace.span(4, vecs)
+        assert Subspace(4, s.basis) == s
+
+    def test_constructor_rejects_non_canonical_bases(self):
+        with pytest.raises(ValueError):
+            Subspace(2, Matrix.from_rows([[1, 1], [0, 1]]))
+        with pytest.raises(ValueError):
+            Subspace(3, Matrix.from_rows([[1], [0]]))
+        with pytest.raises(ValueError):
+            Subspace.span(3, [(1, 2)])
+
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
                     min_size=1, max_size=4),
            st.lists(st.lists(rationals, min_size=3, max_size=3),
