@@ -10,12 +10,13 @@ fails (a bug; the message starts with "internal error:").
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import catalog
-from .documents import (DocumentError, algebra_to_document, document_to_pair,
-                        document_to_parts, dumps_document, parse_document,
+from .documents import (DocumentError, algebra_to_document, document_to_algebra,
+                        document_to_pair, dumps_document, parse_document,
                         pair_to_document, tower_to_document)
 from .errors import SymplieError
 from .extension import (AdmissiblePair, NotAdmissibleError, NotAnIdealError,
@@ -24,8 +25,7 @@ from .extension import (AdmissiblePair, NotAdmissibleError, NotAnIdealError,
 from .lie import InvalidLieAlgebraError
 from .linalg import Matrix
 from .rationals import RationalSyntaxError, parse_rational, qstr
-from .symplectic import (InvalidSymplecticError, SymplecticLieAlgebra,
-                         structural_report, symplectic_violations)
+from .symplectic import InvalidSymplecticError, structural_report
 
 _INPUT_ERRORS = (DocumentError, InvalidSymplecticError, InvalidLieAlgebraError,
                  catalog.UnknownNameError, catalog.ConstraintViolatedError,
@@ -83,12 +83,8 @@ def _load_input(args, what: str):
         return entry.algebra, entry.name
     if not file:
         raise ValueError(f"{what} needs a document file or --catalog NAME")
-    doc = parse_document(Path(file).read_text())
-    algebra, form, _meta = document_to_parts(doc)
-    violations = symplectic_violations(algebra, form)
-    if violations:
-        raise InvalidSymplecticError(violations)
-    return SymplecticLieAlgebra(algebra, form), file
+    s, _meta = document_to_algebra(parse_document(Path(file).read_text()))
+    return s, file
 
 
 def _emit(doc: dict, out_path):
@@ -266,7 +262,9 @@ def _cmd_catalog(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parse_args keeps no state in it."""
     parser = _Parser(prog="symplie",
                      description="Exact tools for flat symplectic Lie algebras.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
-from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel,
-                     inverse, is_zero_vector, sparse, sparse_sum)
+from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel, dense,
+                     int_product, inverse, is_zero_vector)
 from .rationals import ZERO, as_q, rational
 
 
@@ -125,37 +125,27 @@ class LieAlgebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        # ad_u = sum_i u_i ad_{e_i}, and table[i] lists the columns of ad_{e_i}
-        return common_kernel(self.table, self.dim)
+        # ad_u = sum_i u_i ad_{e_i}, and rows[i] lists the columns of ad_{e_i}
+        n = self.dim
+        _, rows = self.bracket_tensor.integral
+        return common_kernel([[dense(cell, n) for cell in row] for row in rows], n)
 
     def derived_subspace(self) -> Subspace:
         return self._derived_subspace
 
     @cached_property
     def _derived_subspace(self) -> Subspace:
-        gens = [self.table[i][j] for i in range(self.dim)
-                for j in range(i + 1, self.dim)]
-        return Subspace.span(self.dim, gens)
-
-    def _ad_rows(self, u: Sequence) -> tuple:
-        """[u, e_j] for every j, each as its nonzero (k, c)."""
-        nz = self.bracket_tensor.nonzeros
-        su = sparse(u)
-        rows = []
-        for j in range(self.dim):
-            acc = sparse_sum((c, nz[i][j]) for i, c in su)
-            rows.append(tuple((k, c) for k, c in acc.items() if c))
-        return tuple(rows)
+        n = self.dim
+        _, rows = self.bracket_tensor.integral
+        return Subspace.span(n, [dense(rows[i][j], n) for i in range(n)
+                                 for j in range(i + 1, n)])
 
     def _bracket_span(self, pairs) -> Subspace:
-        """The span of [u, v] = sum_j v_j [u, e_j] over (ad rows of u, v)
-        in pairs, in one elimination."""
+        """The span of [u, v] over the pairs (u, v), each vector given by
+        its nonzero (k, num), in one elimination over ints."""
         n = self.dim
-        gens = []
-        for ad_u, v in pairs:
-            acc = sparse_sum((c, ad_u[j]) for j, c in sparse(v))
-            gens.append([acc.get(k, ZERO) for k in range(n)])
-        return Subspace.span(n, gens)
+        _, rows = self.bracket_tensor.integral
+        return Subspace.span(n, [int_product(rows, u, v, n) for u, v in pairs])
 
     def lower_central_series(self) -> "LowerCentralSeries":
         """C^1 = g, C^{k+1} = [g, C^k], listed until it stabilizes.
@@ -168,14 +158,12 @@ class LieAlgebra:
 
     @cached_property
     def _lower_central_series(self) -> "LowerCentralSeries":
-        nz = self.bracket_tensor.nonzeros
+        units = [((i, 1),) for i in range(self.dim)]
         terms = [Subspace.full(self.dim)]
         nxt = self.derived_subspace()  # C^2 = [g, g]
         while nxt != terms[-1]:
             terms.append(nxt)
-            # the rows of ad_{e_i} are the nonzero entries of table[i]
-            nxt = self._bracket_span((nz[i], v) for i in range(self.dim)
-                                     for v in nxt.columns())
+            nxt = self._bracket_span((e, v) for e in units for v in nxt.integral)
         nilpotent = terms[-1].dim == 0
         cls: Optional[int] = len(terms) - 1 if nilpotent else None
         return LowerCentralSeries(tuple(terms), cls)
@@ -188,10 +176,9 @@ class LieAlgebra:
     def _derived_series(self) -> "DerivedSeries":
         terms = [self.derived_subspace()]
         while True:
-            cols = terms[-1].columns()
-            ads = [self._ad_rows(u) for u in cols]
+            cols = terms[-1].integral
             # [u, u] = 0 and [v, u] = -[u, v], so the pairs a < b span it
-            nxt = self._bracket_span((ads[a], cols[b]) for a in range(len(cols))
+            nxt = self._bracket_span((cols[a], cols[b]) for a in range(len(cols))
                                      for b in range(a + 1, len(cols)))
             if nxt == terms[-1]:
                 break

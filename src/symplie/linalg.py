@@ -7,15 +7,27 @@ matrices and compare equal as plain values.  Bilinear products (the Lie
 bracket and the canonical product alike) are :class:`ProductTensor`
 tables contracted by the one loop in :func:`accumulate`.
 
+Elimination is fraction-free, over Python ints: each rational row enters
+as the integer numerators of :func:`rationals.integral`, rows are
+combined without division and then divided by their content, and each
+pivot row becomes scalars once, at the end, divided by its pivot through
+:func:`rationals.rational`.  Callers that hold integer numerators (the
+Lie series, the center, the perps, the multiplication kernels) pass int
+rows and grids in directly, and every subspace keeps its basis columns as
+integer numerators in :attr:`Subspace.integral`.  Results are scalars in
+every case.
+
 Every elimination pivots on the first nonzero candidate in row-major
 order; there is no scoring or heuristics, which keeps all derived data
-(kernels, solved coordinates, canonical bases) reproducible.
+(kernels, solved coordinates, canonical bases) reproducible.  The reduced
+echelon form is unique, so they equal what Gauss-Jordan over Q gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import SymplieError
@@ -109,6 +121,28 @@ def sparse_sum(terms) -> dict:
 def sparse(v: Sequence) -> tuple:
     """The nonzero (k, v_k) of a vector."""
     return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def dense(pairs, n: int) -> list:
+    """The length-n list with the (k, c) of pairs and 0 elsewhere, the
+    inverse of :func:`sparse` for int entries."""
+    v = [0] * n
+    for k, c in pairs:
+        v[k] = c
+    return v
+
+
+def int_product(rows, u, v, n: int) -> list:
+    """sum_{i,j} u_i v_j rows[i][j] as a dense int list, for u and v given
+    by their nonzero (k, num) and rows as in :attr:`ProductTensor.integral`."""
+    acc = [0] * n
+    for i, a in u:
+        row = rows[i]
+        for j, b in v:
+            ab = a * b
+            for k, c in row[j]:
+                acc[k] += ab * c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +286,34 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # elimination
+#
+# Elimination runs over Python ints.  A row and any positive multiple of it
+# have the same reduced echelon form, so a rational row enters as the
+# integer numerators of :func:`integral` (an int row as it is), and each
+# pivot row becomes scalars once, at the end, over its pivot.
+
+def _int_row(v: Sequence) -> list:
+    """A positive multiple of v as a list of ints: v itself when its
+    entries are ints, else the numerators of its entries over their lcm
+    denominator."""
+    if all(type(x) is int for x in v):
+        return list(v)
+    return integral([as_q(x) for x in v])[1]
+
 
 def _rref_rows(rows: list, ncols: int) -> list:
-    """In-place reduced row echelon form; returns pivot column indices.
+    """In-place fraction-free reduced row echelon form of int rows; returns
+    pivot column indices.
 
     First-nonzero pivoting, zero-entry skipping in the update loop.  The
     skipping matters: block-sparse systems (the brute-force product
     solver assembles one of size dim^3) reduce in near-linear time.
+    Each pivot row is divided by its content and made positive at its
+    pivot; each row it reduces becomes a * row - b * pivot row, with a / b
+    the pivot over the row's entry in lowest terms and a > 0, divided by
+    its content.  When it returns, rows[r] over its pivot rows[r][pivots[r]]
+    is row r of the reduced row echelon form over Q, which is unique; each
+    pivot row is primitive with a positive pivot.
     """
     pivots = []
     r = 0
@@ -271,27 +326,47 @@ def _rref_rows(rows: list, ncols: int) -> list:
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != ONE:
-            inv = ONE / pv
-            rows[r] = [inv * x for x in rows[r]]
-        prow = rows[r]
+        prow = rows[pivot_row]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        rows[pivot_row] = rows[r]
+        rows[r] = prow
+        p = prow[c]
         support = [k for k in range(c, ncols) if prow[k]]
         for i in range(nrows):
             if i == r:
                 continue
-            f = rows[i][c]
+            target = rows[i]
+            f = target[c]
             if not f:
                 continue
-            target = rows[i]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                target = rows[i] = [a * x for x in target]
             for k in support:
-                target[k] -= f * prow[k]
+                target[k] -= b * prow[k]
+            g = gcd(*target)
+            if g > 1:
+                rows[i] = [x // g for x in target]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def _reduced(rows: list, pivots: Sequence, start: int = 0) -> list:
+    """Row r of the reduced row echelon form as scalars, from column start
+    on, for each pivot row r that :func:`_rref_rows` left in rows."""
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append(tuple(rational(x, p) if x else ZERO for x in row[start:]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,14 +377,14 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    rows = [list(row) for row in m.entries]
+    rows = [_int_row(row) for row in m.entries]
     pivots = _rref_rows(rows, m.cols)
-    reduced = Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows))
-    return RrefResult(reduced, tuple(pivots), len(pivots))
+    reduced = _reduced(rows, pivots) + [(ZERO,) * m.cols] * (m.rows - len(pivots))
+    return RrefResult(Matrix(m.rows, m.cols, tuple(reduced)), tuple(pivots), len(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return len(_rref_rows([_int_row(row) for row in m.entries], m.cols))
 
 
 def solve(m: Matrix, b: Sequence) -> Vec:
@@ -320,13 +395,13 @@ def solve(m: Matrix, b: Sequence) -> Vec:
     b = vector(b)
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    rows = [list(row) + [bi] for row, bi in zip(m.entries, b)]
+    rows = [_int_row((*row, bi)) for row, bi in zip(m.entries, b)]
     pivots = _rref_rows(rows, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         raise NoSolutionError("right-hand side not in the image")
     x = [ZERO] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][m.cols]
+    for c, (xc,) in zip(pivots, _reduced(rows, pivots, m.cols)):
+        x[c] = xc
     return tuple(x)
 
 
@@ -334,25 +409,35 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    rows = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(m.entries)]
+    rows = [_int_row((*row, *unit_vector(n, i))) for i, row in enumerate(m.entries)]
     pivots = _rref_rows(rows, 2 * n)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, n, tuple(tuple(row[n:]) for row in rows))
+    return Matrix(n, n, tuple(_reduced(rows, pivots, n)))
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Null space of m as a canonical subspace of Q^cols."""
-    res = rref(m)
-    pivot_set = set(res.pivot_cols)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """Null space of m as a canonical subspace of Q^cols.
+
+    Entries of m that are Python ints are read as they are, so a caller
+    holding integer numerators passes them in a Matrix directly.
+    """
+    rows = [_int_row(row) for row in m.entries]
+    pivots = _rref_rows(rows, m.cols)
+    pivot_set = set(pivots)
     gens = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, c in enumerate(res.pivot_cols):
-            v[c] = -res.matrix.entry(r, f)
-        gens.append(tuple(v))
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        # x_f = 1 and x_c = -rows[r][f] / pivot for pivot column c of row r,
+        # all times the lcm of those pivots
+        used = [(c, row[c], row[f]) for row, c in zip(rows, pivots) if row[f]]
+        scale = lcm(*(p for _, p, _ in used))
+        v = [0] * m.cols
+        v[f] = scale
+        for c, p, x in used:
+            v[c] = -x * (scale // p)
+        gens.append(v)
     return Subspace.span(m.cols, gens)
 
 
@@ -362,17 +447,18 @@ def common_kernel(maps: Sequence, n: int) -> "Subspace":
     Each maps[i] is a nonempty grid (a sequence of equal-length
     vectors), so a family of matrices, bracket-table rows or
     product-table columns all fit; entry (a, b) of the grids is one
-    equation.  The result is canonical, so the order of the equations
-    cannot change it.
+    equation.  Grids of ints (integer numerators) are eliminated as they
+    are.  The result is canonical, so the order of the equations cannot
+    change it.
     """
     if n == 0:
         return Subspace.zero(0)
     # an all-zero equation constrains nothing
-    rows = [r for r in zip(*[[x for cells in m for x in cells] for m in maps])
-            if any(r)]
+    rows = tuple(r for r in zip(*[[x for cells in m for x in cells] for m in maps])
+                 if any(r))
     if not rows:
         return Subspace.full(n)
-    return kernel(Matrix.from_rows(rows))
+    return kernel(Matrix(len(rows), n, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +492,24 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [[as_q(x) for x in v] for v in vectors]
+        """The span of vectors; int vectors (integer numerators) are
+        eliminated as they are."""
+        rows = [_int_row(v) for v in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        _rref_rows(rows, ambient_dim)
-        # the nonzero rows of a reduced row echelon form are the columns of
+        pivots = _rref_rows(rows, ambient_dim)
+        # the pivot rows of a reduced row echelon form are the columns of
         # a reduced column echelon basis, so they need no second check
-        cols = [r for r in rows if any(r)]
+        cols = _reduced(rows, pivots)
         basis = Matrix(ambient_dim, len(cols),
                        tuple(zip(*cols)) if cols else ((),) * ambient_dim)
         out = object.__new__(cls)
         object.__setattr__(out, "ambient_dim", ambient_dim)
         object.__setattr__(out, "basis", basis)
+        # each pivot row is primitive with a positive pivot, so it is the
+        # integral of its basis column
+        object.__setattr__(out, "integral", tuple(sparse(row) for row in rows[:len(pivots)]))
         return out
 
     @classmethod
@@ -436,47 +527,60 @@ class Subspace:
     def columns(self) -> list:
         return self.basis.columns()
 
-    def pivot_rows(self) -> list:
-        out = []
-        for j in range(self.basis.cols):
-            col = self.basis.col(j)
-            out.append(next(i for i, x in enumerate(col) if x))
-        return out
+    @cached_property
+    def integral(self) -> tuple:
+        """The basis columns as the nonzero (k, num) of their integral
+        numerators (:func:`rationals.integral`), one positive multiple of
+        each column in ints; the first pair of each is its pivot."""
+        return tuple(sparse(integral(col)[1]) for col in self.columns())
 
     def contains(self, v: Sequence) -> bool:
-        v = list(vector(v))
+        v = _int_row(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for j, pivot in enumerate(self.pivot_rows()):
-            c = v[pivot]
-            if c:
-                col = self.basis.col(j)
-                for i in range(self.ambient_dim):
-                    if col[i]:
-                        v[i] -= c * col[i]
+        # reduce v against each column in turn, fraction-free
+        for col in self.integral:
+            pivot, p = col[0]
+            f = v[pivot]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    v = [a * x for x in v]
+                for k, x in col:
+                    v[k] -= b * x
         return not any(v)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(c) for c in self.columns())
+        return all(other.contains(dense(c, self.ambient_dim)) for c in self.integral)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(a.ambient_dim, a.columns() + b.columns())
+    n = a.ambient_dim
+    return Subspace.span(n, [dense(c, n) for c in a.integral + b.integral])
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked system [A | -B]."""
+    """Intersection via the kernel of the stacked system [A | -B], with the
+    columns of A and B as their integral numerators."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    stacked = a.basis.hstack(-b.basis)
-    cols = a.basis.columns()
-    gens = [accumulate([ZERO] * n, k[:a.dim], cols)
-            for k in kernel(stacked).columns()]
+    cols = [dense(c, n) for c in a.integral] + [[-x for x in dense(c, n)] for c in b.integral]
+    stacked = Matrix(n, len(cols), tuple(zip(*cols)))
+    acols = a.integral
+    gens = []
+    for k in kernel(stacked).integral:
+        acc = [0] * n
+        for j, c in k:
+            if j < a.dim:
+                for i, x in acols[j]:
+                    acc[i] += c * x
+        gens.append(acc)
     return Subspace.span(n, gens)
 
 

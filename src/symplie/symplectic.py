@@ -29,9 +29,9 @@ from .errors import SymplieError
 from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
-                     common_kernel, commutator, inverse, is_zero_vector,
-                     kernel, rank, sparse, subspace_intersect, unit_vector,
-                     vdot, vector)
+                     common_kernel, commutator, dense, int_product, inverse,
+                     is_zero_vector, kernel, rank, sparse, subspace_intersect,
+                     unit_vector, vdot, vector)
 from .rationals import ZERO, integral, rational
 
 
@@ -163,6 +163,13 @@ def _omega_brackets(algebra: LieAlgebra, form: SkewForm) -> tuple:
 
 def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
     """Human-readable list of axiom violations (empty means valid)."""
+    return _violations(SymplecticLieAlgebra(algebra, form))
+
+
+def _violations(s: "SymplecticLieAlgebra") -> list:
+    """symplectic_violations of the pair s, which need not be valid; the
+    closedness check reads :attr:`SymplecticLieAlgebra.omega_brackets`."""
+    algebra, form = s.algebra, s.form
     out = []
     n = algebra.dim
     if form.dim != n:
@@ -176,7 +183,7 @@ def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
     elif not form.is_nondegenerate():
         out.append("form is degenerate")
     # c[i][j][k] is a fixed positive multiple of omega([e_i, e_j], e_k)
-    _, c = _omega_brackets(algebra, form)
+    _, c = s.omega_brackets
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -186,10 +193,13 @@ def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
 
 
 def validate_symplectic(algebra: LieAlgebra, form: SkewForm) -> "SymplecticLieAlgebra":
-    violations = symplectic_violations(algebra, form)
+    """The pair as a SymplecticLieAlgebra, which keeps the omega brackets
+    the closedness check built; raises InvalidSymplecticError if invalid."""
+    s = SymplecticLieAlgebra(algebra, form)
+    violations = _violations(s)
     if violations:
         raise InvalidSymplecticError(violations)
-    return SymplecticLieAlgebra(algebra, form)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +241,19 @@ class SymplecticLieAlgebra:
     # -- products ---------------------------------------------------------
 
     @cached_property
+    def omega_brackets(self) -> tuple:
+        """(den, c): c[i][j][w] = den * omega([e_i, e_j], e_w) as ints, built
+        once per pair for the closedness check, the canonical product and
+        the structural report."""
+        return _omega_brackets(self.algebra, self.form)
+
+    @cached_property
     def canonical_product(self) -> ProductTensor:
         """The torsion-free symplectic product described in the module docstring."""
         n = self.dim
         dden, dual = _integral_rows(self.form.dual_matrix)
         # c[i][j][w] = cden * omega([e_i, e_j], e_w)
-        cden, c = _omega_brackets(self.algebra, self.form)
+        cden, c = self.omega_brackets
         # e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / (3 cden)
         den = 3 * cden * dden
         rows = []
@@ -417,8 +434,13 @@ def perp(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if f.dim == 0:
         return Subspace.full(n)
-    rows = [form.matrix.apply(c) for c in f.columns()]
-    return kernel(Matrix.from_rows(rows))
+    # W c for each basis column c of f, over the Gram and column numerators
+    _, gram = form.integral
+    rows = []
+    for col in f.integral:
+        c = dense(col, n)
+        rows.append(tuple(sum(x * c[w] for w, x in gram_k) for gram_k in gram))
+    return kernel(Matrix(len(rows), n, tuple(rows)))
 
 
 def classify_subspace(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> SubspaceClass:
@@ -472,34 +494,8 @@ def darboux_basis(form: SkewForm) -> Matrix:
 # The kernels and the structural claims run over Python ints: the product
 # and bracket tables as the rows of their cached integral, omega as the
 # integral rows of its Gram matrix, and a subspace basis column by column
-# as int numerators.  Each is a positive multiple of what it stands for,
-# which no zero test, kernel or span can tell apart.
-
-def _int_dense(cell, n: int) -> list:
-    """The dense int vector with the nonzero (k, num) of cell."""
-    v = [0] * n
-    for k, c in cell:
-        v[k] = c
-    return v
-
-
-def _int_columns(f: Subspace) -> list:
-    """The basis columns of f, each as the nonzero (k, num) of its integral."""
-    return [sparse(integral(col)[1]) for col in f.columns()]
-
-
-def _int_product(rows, u, v, n: int) -> list:
-    """sum_{i,j} u_i v_j rows[i][j] as a dense int list, for u and v
-    given by their nonzero (k, num) and rows as in ProductTensor.integral."""
-    acc = [0] * n
-    for i, a in u:
-        row = rows[i]
-        for j, b in v:
-            ab = a * b
-            for k, c in row[j]:
-                acc[k] += ab * c
-    return acc
-
+# as the int numerators of Subspace.integral.  Each is a positive multiple
+# of what it stands for, which no zero test, kernel or span can tell apart.
 
 def _int_covectors(s: SymplecticLieAlgebra, cols) -> list:
     """omega(c, e_w) for every w, as ints, for each c in cols."""
@@ -523,7 +519,7 @@ def _annihilated(covectors, x) -> bool:
 def _in_left_kernel(rows, x, n: int) -> bool:
     """x o e_m = 0 for every m, for the int vector x."""
     x = sparse(x)
-    return not any(any(_int_product(rows, x, ((m, 1),), n)) for m in range(n))
+    return not any(any(int_product(rows, x, ((m, 1),), n)) for m in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +539,7 @@ class MultiplicationKernels(NamedTuple):
 def multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernels:
     n = s.dim
     _, rows = s.canonical_product.integral
-    table = [[_int_dense(cell, n) for cell in row] for row in rows]
+    table = [[dense(cell, n) for cell in row] for row in rows]
     # L_u = sum_i u_i L_{e_i}, and table[i] lists the columns of L_{e_i}
     return MultiplicationKernels(common_kernel(table, n),
                                  common_kernel(list(zip(*table)), n),
@@ -602,21 +598,21 @@ def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace) -> tuple:
     n = s.dim
     _, prows = s.canonical_product.integral
     _, brows = s.algebra.bracket_tensor.integral
-    icols = _int_columns(ideal)
-    pcols = _int_columns(perp(s, ideal))
+    icols = ideal.integral
+    pcols = perp(s, ideal).integral
     into_i = _int_covectors(s, pcols)
     into_perp = _int_covectors(s, icols)
     for u in pcols:
         for v in icols:
-            if not _annihilated(into_i, _int_product(prows, u, v, n)):
+            if not _annihilated(into_i, int_product(prows, u, v, n)):
                 return False, "Iperp o I escapes I"
-            if not _annihilated(into_i, _int_product(prows, v, u, n)):
+            if not _annihilated(into_i, int_product(prows, v, u, n)):
                 return False, "I o Iperp escapes I"
     for u in pcols:
         for v in pcols:
-            if not _annihilated(into_perp, _int_product(prows, u, v, n)):
+            if not _annihilated(into_perp, int_product(prows, u, v, n)):
                 return False, "Iperp o Iperp escapes Iperp"
-            if not _annihilated(into_perp, _int_product(brows, u, v, n)):
+            if not _annihilated(into_perp, int_product(brows, u, v, n)):
                 return False, "Iperp is not a Lie subalgebra"
     return True, ""
 
@@ -660,7 +656,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     lcs = alg.lower_central_series()
     abelian = derived.dim == 0
     units = [((i, 1),) for i in range(n)]
-    dcols = _int_columns(dperp)
+    dcols = dperp.integral
     # pden tr R_{e_i} = sum_m (e_m o e_i)_m and bden tr ad_{e_i} = sum_m [e_i, e_m]_m
     right_traces = [sum(c for m in range(n) for k, c in prows[m][i] if k == m)
                     for i in range(n)]
@@ -675,7 +671,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     # --- unconditional -----------------------------------------------------
     # ad_u* = -ad_u iff omega([u, e_a], e_b) = omega([u, e_b], e_a) for all
     # a < b, one int equation per pair with c[i][a][b] ~ omega([e_i, e_a], e_b)
-    _, c = _omega_brackets(alg, s.form)
+    _, c = s.omega_brackets
     skew_ad = common_kernel([[[c[i][a][b] - c[i][b][a] for b in range(a + 1, n)]
                               for a in range(n)] for i in range(n)], n)
     claim("derived_perp_characterization", True, dperp == skew_ad,
@@ -695,9 +691,9 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     # L_u = (2/3) ad_u and R_u = -(1/3) ad_u, column by column, times 3 pden bden
     ok = all(3 * bden * x == 2 * pden * y and 3 * bden * z == -pden * y
              for u in dcols for m in units
-             for x, y, z in zip(_int_product(prows, u, m, n),
-                                _int_product(brows, u, m, n),
-                                _int_product(prows, m, u, n)))
+             for x, y, z in zip(int_product(prows, u, m, n),
+                                int_product(brows, u, m, n),
+                                int_product(prows, m, u, n)))
     claim("derived_perp_operator_identities", True, ok,
           "L_u = (2/3) ad_u and R_u = -(1/3) ad_u on [g,g]-perp")
 
@@ -725,20 +721,20 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     claim("flat_h_vanishes", flat, is_zero_vector(h))
     claim("flat_h_in_derived_meet_perp", flat,
           flat and derived.contains(h) and dperp.contains(h))
-    ok = flat and not any(any(_int_product(prows, u, v, n))
+    ok = flat and not any(any(int_product(prows, u, v, n))
                           for u in dcols for v in dcols)
     claim("flat_derived_perp_products_vanish", flat, ok)
     # ad_u ad_v = 0 iff [u, x] = 0 for every x = [v, e_k]
-    ad_rows = [sparse(_int_product(brows, v, e, n)) for v in dcols for e in units]
-    ok = flat and not any(any(_int_product(brows, u, x, n))
+    ad_rows = [sparse(int_product(brows, v, e, n)) for v in dcols for e in units]
+    ok = flat and not any(any(int_product(brows, u, x, n))
                           for u in dcols for x in ad_rows)
     claim("flat_derived_perp_ad_compose_zero", flat, ok)
-    ncols = _int_columns(nl)
-    ok = flat and all(_in_left_kernel(prows, _int_product(prows, e, v, n), n)
-                      and _in_left_kernel(prows, _int_product(prows, v, e, n), n)
+    ncols = nl.integral
+    ok = flat and all(_in_left_kernel(prows, int_product(prows, e, v, n), n)
+                      and _in_left_kernel(prows, int_product(prows, v, e, n), n)
                       for e in units for v in ncols)
     claim("flat_left_kernel_two_sided_ideal", flat, ok)
-    ok = flat and all(_in_left_kernel(prows, _int_product(brows, e, u, n), n)
+    ok = flat and all(_in_left_kernel(prows, int_product(brows, e, u, n), n)
                       for e in units for u in dcols)
     claim("flat_bracket_derived_perp_in_left_kernel", flat, ok)
     complete = not any(right_traces)

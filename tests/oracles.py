@@ -13,6 +13,8 @@ numerators over one common denominator.  The reference structural
 report is the formulation the library used before its claims moved to
 integer contractions: dense ad, L and R matrices, the omega-adjoint
 W^-1 ad^T W, and a full product plus Subspace.contains per membership.
+``reference_rref_rows`` is the Gauss-Jordan elimination over scalars
+that the library ran before its elimination moved to integer rows.
 """
 
 import sympy
@@ -23,7 +25,7 @@ from symplie.lie import DerivedSeries, JacobiViolation, LowerCentralSeries
 from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
                             commutator, is_zero_vector, kernel, solve, sparse,
                             sparse_sum, subspace_intersect, unit_vector, vector)
-from symplie.rationals import THIRD, ZERO, Q, qstr
+from symplie.rationals import ONE, THIRD, ZERO, Q, qstr
 from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor,
                                 StructuralReport, classify_subspace,
                                 curvature_residuals, perp)
@@ -62,6 +64,47 @@ def brute_force_canonical_product(algebra, form) -> ProductTensor:
         tuple(tuple(x[(i * n + j) * n + k] for k in range(n)) for j in range(n))
         for i in range(n))
     return ProductTensor(n, table)
+
+
+def reference_rref_rows(rows: list, ncols: int) -> list:
+    """In-place reduced row echelon form; returns pivot column indices.
+
+    First-nonzero pivoting, zero-entry skipping in the update loop.  The
+    skipping matters: block-sparse systems (the brute-force product
+    solver assembles one of size dim^3) reduce in near-linear time.
+    """
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        if pv != ONE:
+            inv = ONE / pv
+            rows[r] = [inv * x for x in rows[r]]
+        prow = rows[r]
+        support = [k for k in range(c, ncols) if prow[k]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if not f:
+                continue
+            target = rows[i]
+            for k in support:
+                target[k] -= f * prow[k]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:

@@ -405,3 +405,38 @@ class TestModuleEntryPoint:
             assert proc.stderr.startswith("error: ")
         if code == 2:
             assert "first_violation_at: (0, 1)" in proc.stdout
+
+
+class TestParserReuse:
+    """One parser serves every main call; no call leaves state in it."""
+
+    def test_one_parser(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_params_do_not_pile_up(self, capsys, monkeypatch):
+        seen = []
+        original = cli._params_dict
+
+        def recording(args):
+            seen.append(list(args.param or []))
+            return original(args)
+
+        monkeypatch.setattr(cli, "_params_dict", recording)
+        for argv in (["catalog", "show", "g6_1", "--param", "lam=2"],
+                     ["catalog", "show", "g6_1", "--param", "lam=3"],
+                     ["verify", "--catalog", "g6_2", "--report", "flat"]):
+            rc, _, _ = run(capsys, *argv)
+            assert rc == 0
+        assert seen == [["lam=2"], ["lam=3"], []]
+
+    def test_reduce_auto_then_single_step(self, capsys, tmp_path):
+        tower = tmp_path / "tower.json"
+        rc, _, err = run(capsys, "reduce", "--catalog", "r_h3_dim4", "--auto",
+                         "--pair-out", str(tower))
+        assert rc == 0 and "reduced r_h3_dim4 to dimension 0" in err
+        assert "steps" in parse_document(tower.read_text())
+        base = tmp_path / "base.json"
+        rc, out, err = run(capsys, "reduce", "--catalog", "r_h3_dim4",
+                           "--out", str(base))
+        assert rc == 0 and out == "" and err == ""
+        assert parse_document(base.read_text())["dim"] == 2

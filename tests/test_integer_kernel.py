@@ -257,3 +257,25 @@ def test_random_lie_tables(case):
     ref_p = fraction_canonical_product(*fresh_parts(g, form))
     assert fresh.canonical_product.table == ref_p.table
     assert_integral_exact(fresh.canonical_product)
+
+
+def test_omega_brackets_built_once_per_pair(monkeypatch):
+    """validate_symplectic hands its closedness tensor to the pair it
+    returns, and canonical_product and structural_report read it there."""
+    from symplie import symplectic
+    calls = []
+    original = symplectic._omega_brackets
+
+    def counted(algebra, form):
+        calls.append(1)
+        return original(algebra, form)
+
+    pairs = [fresh_parts(catalog.get(name).algebra.algebra, catalog.get(name).algebra.form)
+             for name in ("g6_3", "r_h3_dim4", "aff1")]
+    monkeypatch.setattr(symplectic, "_omega_brackets", counted)
+    for algebra, form in pairs:
+        s = symplectic.validate_symplectic(algebra, form)
+        s.canonical_product
+        symplectic.structural_report(s)
+        assert s.omega_brackets == original(s.algebra, s.form)
+    assert len(calls) == 3

@@ -37,3 +37,12 @@ def test_dense_document_is_the_same_algebra():
     assert s.dim == 6 and s.is_flat
     assert catalog.classify_upto6(s) == "g6_3"
     assert moved["brackets"] != doc["brackets"]
+
+
+# run_all(cli, catalog, ["r_h3_dim4"], 1, 2)["overall"] before elimination
+# moved to integer rows; the same under any PYTHONHASHSEED and directory
+GOLDEN_OVERALL = "194a0a369dfc88d22da45073064a610be319b8a31e2bd5ce1d743a93e7d71c0e"
+
+
+def test_golden_overall(monkeypatch, tmp_path):
+    assert digests(monkeypatch, tmp_path / "golden")["overall"] == GOLDEN_OVERALL
