@@ -8,6 +8,8 @@ the base together with a base vector b0.  The pair (xi, b0) must satisfy
 five compatibility identities, checked by :func:`check_admissible`.
 Conversely :func:`inverse_double_extend` splits any flat algebra along a
 central isotropic line and recovers a pair that rebuilds it exactly.
+The admissibility check, the change of basis of each split and the tower
+conjugations run over integer numerators, as in :mod:`linalg`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, Vec, commutator, inverse, solve,
-                     sparse, sparse_sum, subspace_intersect, subspace_sum,
-                     unit_vector, vector)
-from .rationals import ONE, THIRD, ZERO, Q
+from .linalg import (Matrix, Subspace, Vec, int_inverse, int_matmul, int_matrix,
+                     int_product, int_sum, rational_matrix, solve, sparse,
+                     subspace_intersect, subspace_sum, unit_vector, vector)
+from .rationals import ONE, THIRD, ZERO, Q, rational
 from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
                          change_of_basis, classify_subspace, perp)
 
@@ -106,6 +108,10 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
       4. xi ad_a = L_a xi - R_{xi(a)}            for every a
       5. xi* L_a - L_{xi*(a)} - L_a xi*
            = xi L_a - L_a xi - 2 L_{xi(a)}       for every a
+
+    Each is an int identity, multiplied through by its denominators:
+    xi, xi* and b0 are X, S and B over one den, the products and brackets
+    the rows of their integral.
     """
     if not base.is_flat:
         raise NotFlatError("extension pairs are only defined over a flat base")
@@ -116,48 +122,51 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
     if len(b0) != n:
         raise ValueError(f"b0 must have length {n}")
 
-    p = base.canonical_product
-    r_b0 = p.right(b0)
-    r_b0_star = base.adjoint(r_b0)
-    # adjoint_map keeps its last result: xi* last, so that
-    # build_extension_candidate reuses it
+    pden, prows = base.canonical_product.integral
+    bden, brows = base.algebra.bracket_tensor.integral
+    # adjoint_map keeps its last result, so build_extension_candidate reuses xi*
     xi_star = base.adjoint(xi)
-    skew = xi_star - xi
-    checks = []
+    den, rows = int_matrix(xi.hstack(xi_star).hstack(Matrix.from_cols([b0])))
+    xs = [row[:n] for row in rows]
+    skew = [[b - a for a, b in zip(row, row[n:2 * n])] for row in rows]  # S - X
+    bs = sparse([row[2 * n] for row in rows])
+    # R_b0 = r / (den pden), column j being e_j o b0, and R_b0* = rs / (rsden den pden)
+    r = list(zip(*(int_product(prows, ((j, 1),), bs, n) for j in range(n))))
+    rsden, rs = base.form.int_adjoint(r)
+    sx = int_matmul([row[n:2 * n] for row in rows], xs)
+    x_skew = int_matmul(xs, skew)  # X S - X X
+    # 1. 3 pden (X S - S X - X X) + den r = 0, 2. (S - X) B = 0 and
+    # 3. 3 rsden pden S X = den (rsden r + rs)
+    checks = [
+        EquationCheck("commutator_with_adjoint", all(
+            3 * pden * (a - b) + den * c == 0
+            for u, v, w in zip(x_skew, sx, r) for a, b, c in zip(u, v, w))),
+        EquationCheck("skew_part_kills_b0", all(
+            not sum(row[k] * c for k, c in bs) for row in skew)),
+        EquationCheck("adjoint_composition", all(
+            3 * rsden * pden * a == den * (rsden * b + c)
+            for u, v, w in zip(sx, r, rs) for a, b, c in zip(u, v, w))),
+    ]
 
-    checks.append(EquationCheck(
-        "commutator_with_adjoint",
-        commutator(xi, xi_star) == (xi @ xi) - r_b0.scale(THIRD)))
-    checks.append(EquationCheck(
-        "skew_part_kills_b0",
-        all(not x for x in skew.apply(b0))))
-    checks.append(EquationCheck(
-        "adjoint_composition",
-        (xi_star @ xi) == (r_b0 + r_b0_star).scale(THIRD)))
-
-    # 4 and 5 applied to e_j with a = e_i, over the nonzero entries:
-    #   4. xi([e_i, e_j]) = e_i o xi(e_j) - e_j o xi(e_i)
-    #   5. s(e_i o e_j) - d(e_i) o e_j - e_i o s(e_j) = 0,
+    # 4 and 5 applied to e_j with a = e_i, over the integral rows:
+    #   4. xi([e_i, e_j]) = e_i o xi(e_j) - e_j o xi(e_i), times den bden pden
+    #   5. s(e_i o e_j) - d(e_i) o e_j - e_i o s(e_j) = 0, times den pden,
     # with s = xi* - xi and d = xi* - 2 xi, which is 5 moved to one side.
     # Identity 4 is antisymmetric in (i, j), so a failing pair shows at
     # its smaller index first and j > i suffices there.
-    nz = p.nonzeros
-    br = base.algebra.bracket_tensor.nonzeros
-    x = [sparse(c) for c in xi.columns()]
-    neg_x = [tuple((k, -c) for k, c in col) for col in x]
-    s = [sparse(c) for c in skew.columns()]
-    neg_s = [tuple((k, -c) for k, c in col) for col in s]
-    neg_d = [sparse(c) for c in (xi - skew).columns()]
+    x = [sparse(c) for c in zip(*xs)]
+    s = [sparse(c) for c in zip(*skew)]
+    neg_d = [sparse([a - b for a, b in zip(u, v)]) for u, v in zip(zip(*xs), zip(*skew))]
 
     def fails4(i, j):
-        return any(sparse_sum([(c, x[k]) for k, c in br[i][j]]
-                              + [(c, nz[i][k]) for k, c in neg_x[j]]
-                              + [(c, nz[j][k]) for k, c in x[i]]).values())
+        return any(int_sum([(pden * c, x[k]) for k, c in brows[i][j]]
+                           + [(-bden * c, prows[i][k]) for k, c in x[j]]
+                           + [(bden * c, prows[j][k]) for k, c in x[i]], n))
 
     def fails5(i, j):
-        return any(sparse_sum([(c, s[k]) for k, c in nz[i][j]]
-                              + [(c, nz[k][j]) for k, c in neg_d[i]]
-                              + [(c, nz[i][k]) for k, c in neg_s[j]]).values())
+        return any(int_sum([(c, s[k]) for k, c in prows[i][j]]
+                           + [(c, prows[k][j]) for k, c in neg_d[i]]
+                           + [(-c, prows[i][k]) for k, c in s[j]], n))
 
     # each identity is evaluated up to its first failing index
     fail4 = fail5 = None
@@ -183,17 +192,15 @@ def _embed(v: Sequence, n: int) -> list:
     return [ZERO] + list(v) + [ZERO]
 
 
-def _bordered(w: Matrix, corners) -> Matrix:
-    """w as the middle block of the [e, base..., ebar] layout.
+def _bordered(rows, corners, zero=ZERO) -> list:
+    """The square rows as the middle block of the [e, base..., ebar] layout.
 
     corners ((a, b), (c, d)) are the entries at (e, e), (e, ebar),
     (ebar, e) and (ebar, ebar); the rest of the border is zero.
     """
     (a, b), (c, d) = corners
-    zero = (ZERO,) * w.cols
-    return Matrix.from_rows([(a,) + zero + (b,)]
-                            + [(ZERO,) + row + (ZERO,) for row in w.entries]
-                            + [(c,) + zero + (d,)])
+    pad = [zero] * len(rows)
+    return [[a, *pad, b], *([zero, *row, zero] for row in rows), [c, *pad, d]]
 
 
 def _middle_block(m: Matrix) -> Matrix:
@@ -243,7 +250,7 @@ def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
         if coeffs:
             entries[(1 + p, n + 1)] = coeffs
     algebra = LieAlgebra.from_sparse(names, entries)
-    form = _bordered(form_b.matrix, ((ZERO, ONE), (-ONE, ZERO)))
+    form = Matrix.from_rows(_bordered(form_b.matrix.entries, ((ZERO, ONE), (-ONE, ZERO))))
     return SymplecticLieAlgebra(algebra, SkewForm(form))
 
 
@@ -458,18 +465,21 @@ def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
     entry for entry.
     """
     pairs = []
-    w = Matrix.identity(0)
+    wden, w = 1, []  # the accumulated transform, as int rows over wden
     for step in reversed(steps):
-        if w.rows:
-            w_inv = inverse(w)
-            xi = w_inv @ step.pair.xi @ w
-            b0 = w_inv.apply(step.pair.b0)
-        else:
-            xi, b0 = step.pair.xi, step.pair.b0
+        m = len(w)
+        # w^-1 xi w and w^-1 b0, with w^-1 = wden * inv / iden and xi = X / xden
+        iden, inv = int_inverse(w)
+        xden, rows = int_matrix(step.pair.xi.hstack(Matrix.from_cols([step.pair.b0])))
+        conj = int_matmul(inv, rows)
+        xi = rational_matrix(iden * xden, int_matmul([row[:m] for row in conj], w))
+        b0 = tuple(rational(wden * row[m], iden * xden) for row in conj)
         pairs.append(AdmissiblePair(xi, b0))
-        # diag(1, w, 1) in the [e, base..., ebar] layout
-        w = step.transform @ _bordered(w, ((ONE, ZERO), (ZERO, ONE)))
-    return pairs, w
+        # w becomes transform @ diag(1, w, 1) in the [e, base..., ebar] layout
+        tden, trows = int_matrix(step.transform)
+        w = int_matmul(trows, _bordered(w, ((wden, 0), (0, wden)), 0))
+        wden *= tden
+    return pairs, rational_matrix(wden, w)
 
 
 def tower_pairs(steps: Sequence[ReductionStep]) -> list:

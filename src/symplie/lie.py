@@ -15,7 +15,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel, dense,
-                     int_product, inverse, is_zero_vector)
+                     int_inverse, int_matmul, int_matrix, int_product,
+                     is_zero_vector, sparse)
 from .rationals import ZERO, as_q, rational
 
 
@@ -207,22 +208,29 @@ class LieAlgebra:
     # -- transport ---------------------------------------------------------------
 
     def change_of_basis(self, t: Matrix, names: Sequence[str] | None = None) -> "LieAlgebra":
-        """Structure constants in the basis given by the columns of t."""
+        """Structure constants in the basis given by the columns of t.
+
+        Each new bracket T^-1 [T_i, T_j] is one :func:`int_product` over
+        the bracket's integral rows and the numerators of T's columns; all
+        of them are then combined by the int rows of T^-1 from one
+        elimination, and each entry becomes a scalar once.
+        """
         n = self.dim
         if t.shape != (n, n):
             raise ValueError("change of basis matrix has wrong shape")
-        tinv = inverse(t)
-        if names is None:
-            names = tuple(f"y{k + 1}" for k in range(n))
-        sparse = {}
-        cols = t.columns()
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = tinv.apply(self.bracket(cols[i], cols[j]))
-                entry = {k: c for k, c in enumerate(w) if c}
-                if entry:
-                    sparse[(i, j)] = entry
-        return LieAlgebra.from_sparse(names, sparse)
+        vden, tinv = int_inverse(t.entries)
+        tden, trows = int_matrix(t)
+        bden, rows = self.bracket_tensor.integral
+        den = vden * tden * tden * bden
+        names = tuple(f"y{k + 1}" for k in range(n)) if names is None else names
+        cols = [sparse(c) for c in zip(*trows)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # row p of new is den T^-1 [T_i, T_j] for the p-th pair (i, j)
+        new = zip(*int_matmul(tinv, list(zip(*(int_product(rows, cols[i], cols[j], n)
+                                                for i, j in pairs)))))
+        return LieAlgebra.from_sparse(names, {
+            pair: {k: rational(x, den) for k, x in enumerate(row) if x}
+            for pair, row in zip(pairs, new)})
 
 
 class LowerCentralSeries(NamedTuple):

@@ -103,18 +103,13 @@ def accumulate(acc: list, coeffs: Sequence, vectors: Sequence, scale=None) -> li
     return acc
 
 
-def sparse_sum(terms) -> dict:
-    """sum_t c_t * row_t as {k: value} over (c, row) pairs, each row a
-    sequence of nonzero (k, d); entries that cancel stay, as zeros.
-
-    The sparse counterpart of :func:`accumulate`, for rows read from
-    :attr:`ProductTensor.nonzeros`.
-    """
-    acc = {}
+def int_sum(terms, n: int) -> list:
+    """sum_t c_t * row_t as a dense int list, over (c, row) pairs with each
+    row a sequence of nonzero (k, num) as in :attr:`ProductTensor.integral`."""
+    acc = [0] * n
     for c, row in terms:
         for k, d in row:
-            t = c * d
-            acc[k] = acc[k] + t if k in acc else t
+            acc[k] += c * d
     return acc
 
 
@@ -284,6 +279,25 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return (a @ b) - (b @ a)
 
 
+def int_matrix(m: Matrix) -> tuple:
+    """(den, rows): the rows of m as lists of int numerators over the one
+    common denominator den of :func:`rationals.integral`."""
+    den, nums = integral(x for row in m.entries for x in row)
+    return den, [nums[k * m.cols:(k + 1) * m.cols] for k in range(m.rows)]
+
+
+def int_matmul(a, b) -> list:
+    """a @ b for matrices of ints given as sequences of rows."""
+    ncols = len(b[0]) if b else 0
+    return [accumulate([0] * ncols, row, b) for row in a]
+
+
+def rational_matrix(den: int, rows) -> Matrix:
+    """The Matrix rows / den of square int rows, each entry converted once."""
+    n = len(rows)
+    return Matrix(n, n, tuple(tuple(rational(x, den) if x else ZERO for x in r) for r in rows))
+
+
 # ---------------------------------------------------------------------------
 # elimination
 #
@@ -298,7 +312,7 @@ def _int_row(v: Sequence) -> list:
     denominator."""
     if all(type(x) is int for x in v):
         return list(v)
-    return integral([as_q(x) for x in v])[1]
+    return integral([x if type(x) is int else as_q(x) for x in v])[1]
 
 
 def _rref_rows(rows: list, ncols: int) -> list:
@@ -405,15 +419,22 @@ def solve(m: Matrix, b: Sequence) -> Vec:
     return tuple(x)
 
 
+def int_inverse(rows: Sequence) -> tuple:
+    """(den, inv): the inverse of the square matrix with these rows (scalars,
+    or ints as they are) as int rows over den; raises SingularMatrixError."""
+    n = len(rows)
+    work = [_int_row((*row, *(int(k == i) for k in range(n)))) for i, row in enumerate(rows)]
+    pivots = _rref_rows(work, 2 * n)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise SingularMatrixError("matrix is singular")
+    den = lcm(*(row[c] for row, c in zip(work, pivots)))
+    return den, [[x * (den // row[c]) for x in row[n:]] for row, c in zip(work, pivots)]
+
+
 def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    rows = [_int_row((*row, *unit_vector(n, i))) for i, row in enumerate(m.entries)]
-    pivots = _rref_rows(rows, 2 * n)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularMatrixError("matrix is singular")
-    return Matrix(n, n, tuple(_reduced(rows, pivots, n)))
+    return rational_matrix(*int_inverse(m.entries))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -573,15 +594,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     cols = [dense(c, n) for c in a.integral] + [[-x for x in dense(c, n)] for c in b.integral]
     stacked = Matrix(n, len(cols), tuple(zip(*cols)))
     acols = a.integral
-    gens = []
-    for k in kernel(stacked).integral:
-        acc = [0] * n
-        for j, c in k:
-            if j < a.dim:
-                for i, x in acols[j]:
-                    acc[i] += c * x
-        gens.append(acc)
-    return Subspace.span(n, gens)
+    return Subspace.span(n, [int_sum(((c, acols[j]) for j, c in k if j < a.dim), n)
+                             for k in kernel(stacked).integral])
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ from .errors import SymplieError
 from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
-                     common_kernel, commutator, dense, int_product, inverse,
-                     is_zero_vector, kernel, rank, sparse, subspace_intersect,
-                     unit_vector, vdot, vector)
-from .rationals import ZERO, integral, rational
+                     common_kernel, commutator, dense, int_inverse, int_matmul,
+                     int_matrix, int_product, int_sum, is_zero_vector, kernel, rank,
+                     rational_matrix, sparse, subspace_intersect, unit_vector,
+                     vdot, vector)
+from .rationals import ZERO, rational
 
 
 class InvalidSymplecticError(SymplieError):
@@ -89,14 +90,20 @@ class SkewForm:
     def integral(self) -> tuple:
         """(den, rows): rows[k] = the nonzero (w, num) of row k of the
         Gram matrix, as ints over the common denominator den."""
-        return _integral_rows(self.matrix)
+        den, rows = int_matrix(self.matrix)
+        return den, [sparse(r) for r in rows]
+
+    @cached_property
+    def int_inverse(self) -> tuple:
+        """(den, rows): W^-1 as int rows over den, from one elimination."""
+        try:
+            return int_inverse(self.matrix.entries)
+        except SymplieError as exc:
+            raise DegenerateFormError("form is degenerate") from exc
 
     @cached_property
     def inverse_matrix(self) -> Matrix:
-        try:
-            return inverse(self.matrix)
-        except SymplieError as exc:
-            raise DegenerateFormError("form is degenerate") from exc
+        return rational_matrix(*self.int_inverse)
 
     @cached_property
     def dual_matrix(self) -> Matrix:
@@ -107,8 +114,20 @@ class SkewForm:
         """The unique x with omega(x, e_k) = phi_k for every k."""
         return self.dual_matrix.apply(vector(phi))
 
+    def int_adjoint(self, rows) -> tuple:
+        """(den, rows*): f* = W^-1 f^T W as int rows over den, for the
+        endomorphism f given by int rows, from W's integral rows and the
+        numerators of W^-1."""
+        n = self.dim
+        iden, inv = self.int_inverse
+        wden, gram = self.integral
+        w = [dense(r, n) for r in gram]
+        return iden * wden, int_matmul(inv, int_matmul(list(zip(*rows)), w))
+
     def adjoint_map(self, f: Matrix) -> Matrix:
-        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W.
+        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W,
+        over the int numerators of f (:meth:`int_adjoint`), each entry
+        converted to a scalar once.
 
         The last f and f* are kept, so that check_admissible and
         build_extension_candidate, called in turn by double_extend with
@@ -119,7 +138,9 @@ class SkewForm:
         last = self.__dict__.get("_last_adjoint")
         if last is not None and last[0] == f:
             return last[1]
-        f_star = self.inverse_matrix @ f.transpose() @ self.matrix
+        fden, rows = int_matrix(f)
+        den, star = self.int_adjoint(rows)
+        f_star = rational_matrix(den * fden, star)
         # a frozen dataclass, so the cache goes straight into __dict__
         self.__dict__["_last_adjoint"] = (f, f_star)
         return f_star
@@ -135,29 +156,13 @@ class SubspaceClass(enum.Enum):
 # ---------------------------------------------------------------------------
 # validation
 
-def _integral_rows(m: Matrix) -> tuple:
-    """(den, rows): rows[k] = the nonzero (w, num) of row k of m, as ints
-    over the common denominator den of all its entries."""
-    den, nums = integral(x for row in m.entries for x in row)
-    return den, [sparse(nums[k * m.cols:(k + 1) * m.cols]) for k in range(m.rows)]
-
-
 def _omega_brackets(algebra: LieAlgebra, form: SkewForm) -> tuple:
     """(den, c): c[i][j][w] = den * omega([e_i, e_j], e_w) as ints, from
     the bracket's integral rows and the Gram matrix's numerators."""
     n = algebra.dim
     bden, rows = algebra.bracket_tensor.integral
     wden, gram = form.integral
-    c = []
-    for row in rows:
-        cells = []
-        for cell in row:
-            acc = [0] * n
-            for k, b in cell:
-                for w, x in gram[k]:
-                    acc[w] += b * x
-            cells.append(acc)
-        c.append(cells)
+    c = [[int_sum(((b, gram[k]) for k, b in cell), n) for cell in row] for row in rows]
     return bden * wden, c
 
 
@@ -251,17 +256,19 @@ class SymplecticLieAlgebra:
     def canonical_product(self) -> ProductTensor:
         """The torsion-free symplectic product described in the module docstring."""
         n = self.dim
-        dden, dual = _integral_rows(self.form.dual_matrix)
+        # the dual matrix -W^-1 is -inv / iden
+        iden, inv = self.form.int_inverse
+        inv = [sparse(r) for r in inv]
         # c[i][j][w] = cden * omega([e_i, e_j], e_w)
         cden, c = self.omega_brackets
         # e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / (3 cden)
-        den = 3 * cden * dden
+        den = 3 * cden * iden
         rows = []
         for i in range(n):
             cells = []
             for j in range(n):
                 phi = [c[i][j][w] + c[i][w][j] for w in range(n)]
-                nums = [sum(x * phi[w] for w, x in dual_k) for dual_k in dual]
+                nums = [-sum(x * phi[w] for w, x in inv_k) for inv_k in inv]
                 cells.append(tuple(rational(x, den) if x else ZERO for x in nums))
             rows.append(tuple(cells))
         return ProductTensor(n, tuple(rows))
@@ -500,15 +507,7 @@ def darboux_basis(form: SkewForm) -> Matrix:
 def _int_covectors(s: SymplecticLieAlgebra, cols) -> list:
     """omega(c, e_w) for every w, as ints, for each c in cols."""
     _, gram = s.form.integral
-    n = s.dim
-    out = []
-    for c in cols:
-        acc = [0] * n
-        for k, a in c:
-            for w, x in gram[k]:
-                acc[w] += a * x
-        out.append(acc)
-    return out
+    return [int_sum(((a, gram[k]) for k, a in c), s.dim) for c in cols]
 
 
 def _annihilated(covectors, x) -> bool:
@@ -759,7 +758,16 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
 
 def change_of_basis(s: SymplecticLieAlgebra, t: Matrix,
                     names: Sequence[str] | None = None) -> SymplecticLieAlgebra:
-    """The same structure written in the basis given by the columns of t."""
+    """The same structure written in the basis given by the columns of t.
+
+    The new Gram matrix T^T W T is one int product of T's numerators and
+    the form's integral rows, each entry converted to a scalar once.
+    """
     new_alg = s.algebra.change_of_basis(t, names)
-    new_form = SkewForm(t.transpose() @ s.form.matrix @ t)
+    n = s.dim
+    tden, trows = int_matrix(t)
+    wden, gram = s.form.integral
+    wt = int_matmul([dense(r, n) for r in gram], trows)
+    new_form = SkewForm(rational_matrix(wden * tden * tden,
+                                        int_matmul(list(zip(*trows)), wt)))
     return validate_symplectic(new_alg, new_form)

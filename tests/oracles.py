@@ -14,21 +14,41 @@ report is the formulation the library used before its claims moved to
 integer contractions: dense ad, L and R matrices, the omega-adjoint
 W^-1 ad^T W, and a full product plus Subspace.contains per membership.
 ``reference_rref_rows`` is the Gauss-Jordan elimination over scalars
-that the library ran before its elimination moved to integer rows.
+that the library ran before its elimination moved to integer rows, and
+the ``fraction_*`` change of basis, adjoint and tower conjugation are the
+dense Matrix formulations the reduction path ran before it moved to
+integer rows.
 """
 
 import sympy
 
-from symplie.extension import (AdmissibilityReport, EquationCheck,
-                               NotFlatError)
-from symplie.lie import DerivedSeries, JacobiViolation, LowerCentralSeries
+from symplie.extension import (AdmissibilityReport, AdmissiblePair,
+                               EquationCheck, NotFlatError)
+from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
+                         LowerCentralSeries)
 from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
-                            commutator, is_zero_vector, kernel, solve, sparse,
-                            sparse_sum, subspace_intersect, unit_vector, vector)
+                            commutator, inverse, is_zero_vector, kernel, solve,
+                            sparse, subspace_intersect, unit_vector, vector)
 from symplie.rationals import ONE, THIRD, ZERO, Q, qstr
-from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor,
-                                StructuralReport, classify_subspace,
-                                curvature_residuals, perp)
+from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor, SkewForm,
+                                StructuralReport, SymplecticLieAlgebra,
+                                classify_subspace, curvature_residuals, perp,
+                                validate_symplectic)
+
+
+def sparse_sum(terms) -> dict:
+    """sum_t c_t * row_t as {k: value} over (c, row) pairs, each row a
+    sequence of nonzero (k, d); entries that cancel stay, as zeros.
+
+    The sparse counterpart of :func:`accumulate`, for rows read from
+    :attr:`ProductTensor.nonzeros`.
+    """
+    acc = {}
+    for c, row in terms:
+        for k, d in row:
+            t = c * d
+            acc[k] = acc[k] + t if k in acc else t
+    return acc
 
 
 def brute_force_canonical_product(algebra, form) -> ProductTensor:
@@ -473,3 +493,71 @@ def reference_structural_report(s) -> StructuralReport:
         unimodular=unimodular,
         h=h,
     )
+
+
+# ---------------------------------------------------------------------------
+# the reduction path in exact scalars: change of basis, adjoint, tower
+
+def fraction_lie_change_of_basis(algebra, t: Matrix, names=None) -> LieAlgebra:
+    """Structure constants in the basis given by the columns of t, from
+    full brackets of the columns and a dense T^-1 apply."""
+    n = algebra.dim
+    if t.shape != (n, n):
+        raise ValueError("change of basis matrix has wrong shape")
+    tinv = inverse(t)
+    if names is None:
+        names = tuple(f"y{k + 1}" for k in range(n))
+    sparse = {}
+    cols = t.columns()
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = tinv.apply(algebra.bracket(cols[i], cols[j]))
+            entry = {k: c for k, c in enumerate(w) if c}
+            if entry:
+                sparse[(i, j)] = entry
+    return LieAlgebra.from_sparse(names, sparse)
+
+
+def fraction_change_of_basis(s, t: Matrix, names=None) -> SymplecticLieAlgebra:
+    """The same structure in the basis t, the form as the dense T^T W T."""
+    new_alg = fraction_lie_change_of_basis(s.algebra, t, names)
+    new_form = SkewForm(t.transpose() @ s.form.matrix @ t)
+    return validate_symplectic(new_alg, new_form)
+
+
+def fraction_adjoint_map(form, f: Matrix) -> Matrix:
+    """f* = W^-1 f^T W as two dense Matrix products."""
+    if f.shape != (form.dim, form.dim):
+        raise ValueError("endomorphism shape mismatch")
+    return form.inverse_matrix @ f.transpose() @ form.matrix
+
+
+def fraction_bordered(w: Matrix, corners) -> Matrix:
+    """w as the middle block of the [e, base..., ebar] layout.
+
+    corners ((a, b), (c, d)) are the entries at (e, e), (e, ebar),
+    (ebar, e) and (ebar, ebar); the rest of the border is zero.
+    """
+    (a, b), (c, d) = corners
+    zero = (ZERO,) * w.cols
+    return Matrix.from_rows([(a,) + zero + (b,)]
+                            + [(ZERO,) + row + (ZERO,) for row in w.entries]
+                            + [(c,) + zero + (d,)])
+
+
+def fraction_compose_tower(steps) -> tuple:
+    """The pairs conjugated by the accumulated change of basis, and that
+    change of basis, with dense Matrix products and inverses."""
+    pairs = []
+    w = Matrix.identity(0)
+    for step in reversed(steps):
+        if w.rows:
+            w_inv = inverse(w)
+            xi = w_inv @ step.pair.xi @ w
+            b0 = w_inv.apply(step.pair.b0)
+        else:
+            xi, b0 = step.pair.xi, step.pair.b0
+        pairs.append(AdmissiblePair(xi, b0))
+        # diag(1, w, 1) in the [e, base..., ebar] layout
+        w = step.transform @ fraction_bordered(w, ((ONE, ZERO), (ZERO, ONE)))
+    return pairs, w

@@ -8,8 +8,9 @@ from symplie.catalog import (ConstraintViolatedError, Fingerprint,
                              family_parameter_grid, fingerprint, wedge_form)
 from symplie.extension import check_admissible
 from symplie.lie import LieAlgebra
+from symplie.linalg import Matrix
 from symplie.rationals import Q
-from symplie.symplectic import (NotLieAdmissibleError, ProductTensor,
+from symplie.symplectic import (NotLieAdmissibleError, ProductTensor, change_of_basis,
                                 curvature_residuals, symplectic_violations)
 
 ALL_NAMES = ("zero", "abelian2", "abelian4", "abelian4_w0", "abelian6",
@@ -60,6 +61,17 @@ class TestEntries:
         for lam in (0, 1):
             with pytest.raises(ConstraintViolatedError):
                 catalog.get("g6_1", lam=lam)
+
+    def test_g6_2_w3_is_g6_2_with_x4_negated(self, entries):
+        """x4 is central and outside the derived ideal, so x4 -> -x4 is a
+        Lie automorphism of g6_2; it carries the g6_2 form to g6_2_w3's."""
+        g6_2, w3 = entries["g6_2"].algebra, entries["g6_2_w3"].algebra
+        t = Matrix.from_rows([[-1 if i == j == 3 else int(i == j) for j in range(6)]
+                              for i in range(6)])
+        moved = change_of_basis(g6_2, t, g6_2.basis_names)
+        assert moved.algebra.table == w3.algebra.table
+        assert moved.form.matrix == w3.form.matrix
+        assert moved.algebra == w3.algebra
 
     def test_wedge_form(self):
         form = wedge_form(4, [(1, 3, "1/2"), (2, 4, -1)])

@@ -46,3 +46,16 @@ GOLDEN_OVERALL = "194a0a369dfc88d22da45073064a610be319b8a31e2bd5ce1d743a93e7d71c
 
 def test_golden_overall(monkeypatch, tmp_path):
     assert digests(monkeypatch, tmp_path / "golden")["overall"] == GOLDEN_OVERALL
+
+
+# run_all(cli, catalog, ["g6_3"], 1, 2)["overall"] before the reduction path
+# moved to integer rows: reduce --auto through a 3-step tower in a dense
+# basis; the same under any PYTHONHASHSEED and directory
+GOLDEN_G6_3 = "b920ed19c694559488323f81705a1499e3688baa6d9333eb7c185c925e4a294b"
+
+
+def test_golden_g6_3_tower(monkeypatch, tmp_path):
+    where = tmp_path / "g6_3"
+    where.mkdir()
+    monkeypatch.chdir(where)
+    assert output_digest.run_all(cli, catalog, ["g6_3"], 1, 2)["overall"] == GOLDEN_G6_3
