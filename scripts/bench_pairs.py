@@ -1,0 +1,229 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent checkout and on this one, in alternating
+pairs, and write the comparison as a ``BENCH_<n>.json`` file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --pairs 10 --seed 71 \\
+        --workload sweep --claim sweep:items_per_s:1.25 --out BENCH_12.json
+
+``--parent`` is a checkout of the parent commit, for instance one made
+with ``git archive <commit> | tar -x -C DIR``.  For each workload, pair k
+runs ``perfbench/run.py --workload W --seed SEED+k --seconds S --trace 0``
+once in the parent checkout and once in this one, with S the
+``run_seconds`` of BENCHMARK.json; the parent runs first in the even
+pairs and the change in the odd ones, so that a drift of the host does
+not favour one side.  Each run is a separate process.
+
+Per workload and per end-to-end metric of BENCHMARK.json the file gets
+every run's value, the median and the quartiles of each side over the
+runs (``statistics.quantiles(n=4, method='inclusive')``), the relative change
+of the medians, the number of pairs the change wins and whether the
+change stays within the metric's bound.  ``--claim W:METRIC:FACTOR``
+also states whether the change's median is at least FACTOR times the
+parent's (in the metric's better direction), wins at least 9 pairs in
+10, and moves the median by more than the parent's interquartile range.
+``--traced SEED`` adds one ``--trace 1`` run per side and workload, and
+records its per-layer metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ["perfbench/run.py"]
+WIN_SHARE = 0.9      # a claim needs the change to win this share of the pairs
+
+
+# ---------------------------------------------------------------------------
+# aggregation
+
+def spread(values) -> dict:
+    """Median and inclusive quartiles of a list of run values."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def _better(spec: dict, a: float, b: float) -> bool:
+    """Whether a is strictly better than b for this metric."""
+    return a > b if spec["better"] == "higher" else a < b
+
+
+def compare_metric(spec: dict, parent: list, change: list) -> dict:
+    """One metric over paired runs: parent[k] and change[k] are pair k."""
+    p, c = spread(parent), spread(change)
+    rel = c["median"] / p["median"] - 1 if p["median"] else 0.0
+    worse = -rel if spec["better"] == "higher" else rel
+    wins = sum(_better(spec, b, a) for a, b in zip(parent, change))
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "parent": p,
+        "change": c,
+        "relative_change": round(rel, 4),
+        "change_wins": f"{wins}/{len(parent)}",
+        "within_bound": worse <= spec["bound"],
+        "runs": {"parent": [round(v, 6) for v in parent],
+                 "change": [round(v, 6) for v in change]},
+    }
+
+
+def aggregate(parent: list, change: list, specs: list) -> dict:
+    """The comparison of one workload from the results of perfbench/run.py
+    (its last stdout line, parsed), listed pair by pair for each side."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of runs on each side")
+    return {
+        "pairs": len(parent),
+        "all_correct": all(r["correct"] for r in parent + change),
+        "failed_items": [sum(r["failed"] for r in parent),
+                         sum(r["failed"] for r in change)],
+        "attempted_items": [sum(r["attempted"] for r in parent),
+                            sum(r["attempted"] for r in change)],
+        "metrics": {spec["name"]: compare_metric(
+            spec, [r["metrics"][spec["name"]]["value"] for r in parent],
+            [r["metrics"][spec["name"]]["value"] for r in change])
+            for spec in specs},
+    }
+
+
+def judge_claim(metric: dict, factor: float) -> dict:
+    """Whether a compare_metric result meets a claimed gain of factor."""
+    p, c = metric["parent"], metric["change"]
+    ratio = (c["median"] / p["median"] if metric["better"] == "higher"
+             else p["median"] / c["median"])
+    wins, pairs = map(int, metric["change_wins"].split("/"))
+    spread_ok = abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
+    met = (ratio >= factor and wins >= math.ceil(WIN_SHARE * pairs) and spread_ok
+           and _better(metric, c["median"], p["median"]))
+    return {
+        "target": f">= {factor}x parent median, change wins at least "
+                  f"{math.ceil(WIN_SHARE * pairs)} of {pairs} pairs",
+        "met": met,
+        "result": f"{p['median']} -> {c['median']} ({ratio:.2f}x), {wins}/{pairs} pairs, "
+                  f"parent quartiles {p['q1']}-{p['q3']}",
+    }
+
+
+def traced_layers(parent: dict, change: dict) -> dict:
+    """Per-layer metrics of one traced run per side, side by side."""
+    return {name: {"parent": round(parent["metrics"][name]["value"], 4),
+                   "change": round(change["metrics"][name]["value"], 4)}
+            for name in parent["metrics"] if name in change["metrics"]}
+
+
+# ---------------------------------------------------------------------------
+# running
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple:
+    """(env, result) of one perfbench/run.py process in checkout."""
+    argv = [sys.executable, *RUN, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
+                           + proc.stderr)
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-2])["env"], json.loads(lines[-1])
+
+
+def run_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
+              seconds: float) -> tuple:
+    """(parent results, change results, environment) over alternating pairs."""
+    results = {parent: [], change: []}
+    env = None
+    for k in range(pairs):
+        order = (parent, change) if k % 2 == 0 else (change, parent)
+        for side in order:
+            env, result = run_once(side, workload, seed + k, seconds)
+            results[side].append(result)
+            print(f"{workload} pair {k} {'parent' if side == parent else 'change'}: "
+                  f"correct={result['correct']} "
+                  + " ".join(f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()),
+                  file=sys.stderr)
+    return results[parent], results[change], env
+
+
+def _parent_commit(parent: Path, given: str | None) -> str | None:
+    """given, else the short HEAD of the parent checkout when it is a git
+    checkout, else None."""
+    if given:
+        return given
+    proc = subprocess.run(["git", "-C", str(parent), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--parent-commit",
+                        help="recorded as parent_commit when --parent is no git checkout")
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=("sweep", "catalog_cli", "dense_basis"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
+    parser.add_argument("--claim", action="append", default=[],
+                        help="WORKLOAD:METRIC:FACTOR, a claimed gain to judge")
+    parser.add_argument("--traced", type=int, metavar="SEED",
+                        help="also one traced run per side and workload")
+    parser.add_argument("--change-note", default="", help="recorded as change")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    parent = args.parent.resolve()
+    out = {
+        "change": args.change_note,
+        "parent_commit": _parent_commit(parent, args.parent_commit),
+        "command": f"python3 {' '.join(RUN)} --workload W --seed N "
+                   f"--seconds {seconds} --trace 0",
+        "order": "parent and change alternate which runs first, pair by pair",
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs",
+        "environment": {},
+        "claims": [],
+        "workloads": {},
+    }
+    for workload in args.workload:
+        p, c, env = run_pairs(parent, ROOT, workload, args.pairs, args.seed, seconds)
+        out["environment"] = {"python": env["python"],
+                              "implementation": env["implementation"],
+                              "backend": env["backend"], "cpus": os.cpu_count()}
+        out["workloads"][workload] = {
+            "seeds": list(range(args.seed, args.seed + args.pairs)),
+            **aggregate(p, c, bench["end_to_end"])}
+    for claim in args.claim:
+        workload, metric, factor = claim.split(":")
+        judged = judge_claim(out["workloads"][workload]["metrics"][metric], float(factor))
+        out["claims"].append({"workload": workload, "metric": metric, **judged})
+    if args.traced is not None:
+        out["traced"] = {
+            "command": f"python3 {' '.join(RUN)} --workload W --seed {args.traced} "
+                       f"--seconds {seconds} --trace 1",
+            "runs": "one per side, parent first",
+            "per_item": {w: traced_layers(run_once(parent, w, args.traced, seconds, 1)[1],
+                                          run_once(ROOT, w, args.traced, seconds, 1)[1])
+                         for w in args.workload}}
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for claim in out["claims"]:
+        print(f"claim {claim['workload']} {claim['metric']}: "
+              f"{'met' if claim['met'] else 'NOT met'}: {claim['result']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

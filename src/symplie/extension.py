@@ -8,21 +8,28 @@ the base together with a base vector b0.  The pair (xi, b0) must satisfy
 five compatibility identities, checked by :func:`check_admissible`.
 Conversely :func:`inverse_double_extend` splits any flat algebra along a
 central isotropic line and recovers a pair that rebuilds it exactly.
-The admissibility check, the change of basis of each split and the tower
-conjugations run over integer numerators, as in :mod:`linalg`.
+The extension is born over integer numerators: xi, its omega-adjoint
+xi* and b0 are int rows over one denominator, computed once per
+:func:`double_extend` and shared by the admissibility check and the
+assembly, and the new bracket is built from its numerators by
+:meth:`LieAlgebra.from_integral`, which keeps them.  The change of basis
+of each split and the tower conjugations run over ints too, as in
+:mod:`linalg`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, Vec, int_inverse, int_matmul, int_matrix,
-                     int_product, int_sum, rational_matrix, solve, sparse,
-                     subspace_intersect, subspace_sum, unit_vector, vector)
-from .rationals import ONE, THIRD, ZERO, Q, rational
+from .linalg import (Matrix, Subspace, Vec, accumulate, dense, int_inverse,
+                     int_matmul, int_matrix, int_product, int_sum, rational_matrix,
+                     solve, sparse, subspace_intersect, subspace_sum, unit_vector,
+                     vector)
+from .rationals import ONE, THIRD, ZERO, Q, integral, rational
 from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
                          change_of_basis, classify_subspace, perp)
 
@@ -95,6 +102,35 @@ class AdmissibilityReport:
                 for c in self.checks]
 
 
+def _require_flat(base: SymplecticLieAlgebra) -> None:
+    if not base.is_flat:
+        raise NotFlatError("extension pairs are only defined over a flat base")
+
+
+def _pair_rows(base: SymplecticLieAlgebra, xi: Matrix, b0: Sequence) -> tuple:
+    """(den, rows): row k of [X | S | B] as ints over one den, with
+    xi = X / den, its omega-adjoint xi* = S / den and b0 = B / den.
+
+    S comes from :meth:`SkewForm.int_adjoint` on the numerators of xi, so
+    xi* is never built as scalars.  double_extend computes these rows once
+    for the identity check and the assembly.
+    """
+    n = base.dim
+    if xi.shape != (n, n):
+        raise ValueError(f"xi must be {n}x{n}")
+    b0 = vector(b0)
+    if len(b0) != n:
+        raise ValueError(f"b0 must have length {n}")
+    xden, xs = int_matrix(xi)
+    sden, ss = base.form.int_adjoint(xs)
+    sden *= xden  # xi* = ss / sden
+    bden, bs = integral(b0)
+    den = lcm(sden, bden)
+    fx, fs, fb = den // xden, den // sden, den // bden
+    return den, [[fx * a for a in x] + [fs * a for a in s] + [fb * b]
+                 for x, s, b in zip(xs, ss, bs)]
+
+
 def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
                      b0: Sequence) -> AdmissibilityReport:
     """Evaluate the five identities an extension pair must satisfy.
@@ -113,20 +149,15 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
     xi, xi* and b0 are X, S and B over one den, the products and brackets
     the rows of their integral.
     """
-    if not base.is_flat:
-        raise NotFlatError("extension pairs are only defined over a flat base")
-    n = base.dim
-    if xi.shape != (n, n):
-        raise ValueError(f"xi must be {n}x{n}")
-    b0 = vector(b0)
-    if len(b0) != n:
-        raise ValueError(f"b0 must have length {n}")
+    _require_flat(base)
+    return _admissibility(base, *_pair_rows(base, xi, b0))
 
+
+def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityReport:
+    """check_admissible over the rows [X | S | B] / den of :func:`_pair_rows`."""
+    n = base.dim
     pden, prows = base.canonical_product.integral
     bden, brows = base.algebra.bracket_tensor.integral
-    # adjoint_map keeps its last result, so build_extension_candidate reuses xi*
-    xi_star = base.adjoint(xi)
-    den, rows = int_matrix(xi.hstack(xi_star).hstack(Matrix.from_cols([b0])))
     xs = [row[:n] for row in rows]
     skew = [[b - a for a, b in zip(row, row[n:2 * n])] for row in rows]  # S - X
     bs = sparse([row[2 * n] for row in rows])
@@ -187,11 +218,6 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
 # ---------------------------------------------------------------------------
 # forward construction
 
-def _embed(v: Sequence, n: int) -> list:
-    """Base vector -> extension coordinates [e, base..., ebar]."""
-    return [ZERO] + list(v) + [ZERO]
-
-
 def _bordered(rows, corners, zero=ZERO) -> list:
     """The square rows as the middle block of the [e, base..., ebar] layout.
 
@@ -219,38 +245,39 @@ def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
     pair the result is flat symplectic with the closed-form products;
     TestConstructionTheorem in tests/test_extension.py proves it.
     """
-    n = base.dim
-    if xi.shape != (n, n):
-        raise ValueError(f"xi must be {n}x{n}")
-    b0 = vector(b0)
-    if len(b0) != n:
-        raise ValueError(f"b0 must have length {n}")
-    form_b = base.form
-    xi_star = form_b.adjoint_map(xi)
-    sym = xi + xi_star
-    d = xi_star - xi.scale(Q(2))
+    return _assemble(base, *_pair_rows(base, xi, b0))
 
-    names = tuple(f"e{k + 1}" for k in range(n + 2))
-    entries = {}
-    # base x base: [a, b] = [a, b]_B + omega_B((xi + xi*)(a), b) e
+
+def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebra:
+    """build_extension_candidate over the rows [X | S | B] / den of
+    :func:`_pair_rows`, the bracket as int numerators in the
+    [e, base..., ebar] layout:
+
+      [a, b]    = [a, b]_B + omega_B((xi + xi*)(a), b) e
+      [a, ebar] = (2 xi - xi*)(a) - omega_B(b0, a) e
+
+    with omega_B(u, e_q) = (u^T W)_q, all over bden den wden.
+    """
+    n = base.dim
+    bden, brows = base.algebra.bracket_tensor.integral
+    wden, gram = base.form.integral
+    w = [dense(r, n) for r in gram]
+    # sym_w[p][q] = den wden omega_B((xi + xi*)(e_p), e_q), b0_w[p] = den wden omega_B(b0, e_p)
+    sym_w = int_matmul(list(zip(*([a + b for a, b in zip(row, row[n:2 * n])]
+                                  for row in rows))), w)
+    b0_w = accumulate([0] * n, [row[2 * n] for row in rows], w)
+    dw, bw = den * wden, bden * wden
+    brackets = {}
     for p in range(n):
-        sym_p = form_b.covector(sym.col(p))
         for q in range(p + 1, n):
-            vec = _embed(base.algebra.table[p][q], n)
-            vec[0] += sym_p[q]
-            coeffs = {k: c for k, c in enumerate(vec) if c}
-            if coeffs:
-                entries[(1 + p, 1 + q)] = coeffs
-    # base x ebar: [a, ebar] = -[ebar, a] = (2 xi - xi*)(a) - omega_B(b0, a) e
-    b0_cov = form_b.covector(b0)
-    for p in range(n):
-        vec = _embed(tuple(-x for x in d.col(p)), n)
-        vec[0] -= b0_cov[p]
-        coeffs = {k: c for k, c in enumerate(vec) if c}
-        if coeffs:
-            entries[(1 + p, n + 1)] = coeffs
-    algebra = LieAlgebra.from_sparse(names, entries)
-    form = Matrix.from_rows(_bordered(form_b.matrix.entries, ((ZERO, ONE), (-ONE, ZERO))))
+            brackets[(1 + p, 1 + q)] = ((0, bden * sym_w[p][q]),
+                                        *((1 + k, dw * c) for k, c in brows[p][q]))
+        brackets[(1 + p, n + 1)] = ((0, -bden * b0_w[p]),
+                                    *((1 + k, bw * (2 * row[p] - row[n + p]))
+                                      for k, row in enumerate(rows)))
+    names = tuple(f"e{k + 1}" for k in range(n + 2))
+    algebra = LieAlgebra.from_integral(names, bden * dw, brackets)
+    form = Matrix.from_rows(_bordered(base.form.matrix.entries, ((ZERO, ONE), (-ONE, ZERO))))
     return SymplecticLieAlgebra(algebra, SkewForm(form))
 
 
@@ -262,11 +289,15 @@ def double_extend(base: SymplecticLieAlgebra,
     catalog, documents and the CLI make only such); only the pair is
     checked.  The result is correct by the extension theorem, with e = e1
     central; see :func:`build_extension_candidate` for where that is proved.
+    The rows of :func:`_pair_rows` are computed once, for the check and
+    the assembly.
     """
-    report = check_admissible(base, pair.xi, pair.b0)
+    _require_flat(base)
+    den, rows = _pair_rows(base, pair.xi, pair.b0)
+    report = _admissibility(base, den, rows)
     if not report.admissible:
         raise NotAdmissibleError(report)
-    return build_extension_candidate(base, pair.xi, pair.b0)
+    return _assemble(base, den, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +363,12 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
 
     # base form is the middle block; the corners are fixed by construction
     base_form = SkewForm(_middle_block(adapted.form.matrix))
-    entries = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            full = adapted.algebra.table[1 + p][1 + q]
-            coeffs = {k: c for k, c in enumerate(full[1:1 + n]) if c}
-            if coeffs:
-                entries[(p, q)] = coeffs
+    # the base bracket is the middle block of the adapted one, numerators kept
+    aden, arows = adapted.algebra.bracket_tensor.integral
     base_names = tuple(f"b{k + 1}" for k in range(n))
-    base = SymplecticLieAlgebra(LieAlgebra.from_sparse(base_names, entries),
-                                base_form)
+    base = SymplecticLieAlgebra(LieAlgebra.from_integral(base_names, aden, {
+        (p, q): tuple((k - 1, x) for k, x in arows[1 + p][1 + q] if 0 < k <= n)
+        for p in range(n) for q in range(p + 1, n)}), base_form)
     if not base.is_flat:
         raise ExtensionInvariantError("split produced a non-flat base")
 

@@ -63,6 +63,27 @@ class LieAlgebra:
             entries[(j, i)] = {k: -c for k, c in vec.items()}
         return cls(names, ProductTensor.from_sparse(n, entries).table)
 
+    @classmethod
+    def from_integral(cls, names: Sequence[str], den: int,
+                      brackets: Mapping[tuple, Sequence]) -> "LieAlgebra":
+        """Build from ``{(i, j): ((k, num), ...)}`` with ``i < j`` (0-based):
+        [e_i, e_j] = sum of num e_k / den, with k increasing.  The bracket
+        tensor is :meth:`ProductTensor.from_integral` over these
+        numerators, so it keeps them as its integral."""
+        names = tuple(names)
+        n = len(names)
+        rows = [[()] * n for _ in range(n)]
+        for (i, j), cell in brackets.items():
+            if not (0 <= i < j < n):
+                raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+            rows[i][j] = cell
+            rows[j][i] = tuple((k, -x) for k, x in cell)
+        tensor = ProductTensor.from_integral(n, den, rows)
+        out = cls(names, tensor.table)
+        # a frozen dataclass, so the cached property goes straight into __dict__
+        out.__dict__["bracket_tensor"] = tensor
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.basis_names)
@@ -213,7 +234,7 @@ class LieAlgebra:
         Each new bracket T^-1 [T_i, T_j] is one :func:`int_product` over
         the bracket's integral rows and the numerators of T's columns; all
         of them are then combined by the int rows of T^-1 from one
-        elimination, and each entry becomes a scalar once.
+        elimination, and the result is built by :meth:`from_integral`.
         """
         n = self.dim
         if t.shape != (n, n):
@@ -228,9 +249,8 @@ class LieAlgebra:
         # row p of new is den T^-1 [T_i, T_j] for the p-th pair (i, j)
         new = zip(*int_matmul(tinv, list(zip(*(int_product(rows, cols[i], cols[j], n)
                                                 for i, j in pairs)))))
-        return LieAlgebra.from_sparse(names, {
-            pair: {k: rational(x, den) for k, x in enumerate(row) if x}
-            for pair, row in zip(pairs, new)})
+        return LieAlgebra.from_integral(names, den, {
+            pair: sparse(row) for pair, row in zip(pairs, new)})
 
 
 class LowerCentralSeries(NamedTuple):

@@ -626,6 +626,44 @@ class ProductTensor:
             rows[i][j] = tuple(vec)
         return cls(dim, tuple(tuple(r) for r in rows))
 
+    @classmethod
+    def from_integral(cls, dim: int, den: int, rows) -> "ProductTensor":
+        """The product with e_a o e_m = rows[a][m] / den, for den > 0 and
+        each cell a sequence of (k, num) with increasing k.
+
+        den and every numerator are divided by their one gcd, so the
+        seeded :attr:`integral` is exactly the one the table would give.
+        Each nonzero cell becomes scalars once, and each distinct
+        numerator one scalar.
+        """
+        g = gcd(den, *[x for row in rows for cell in row for _, x in cell])
+        den //= g
+        zero = zero_vector(dim)
+        scalars = {}
+        table, nums = [], []
+        for row in rows:
+            trow, nrow = [], []
+            for cell in row:
+                vec, out = zero, []
+                for k, x in cell:
+                    if x:
+                        x //= g
+                        q = scalars.get(x)
+                        if q is None:
+                            q = scalars[x] = rational(x, den)
+                        if not out:
+                            vec = [ZERO] * dim
+                        vec[k] = q
+                        out.append((k, x))
+                trow.append(tuple(vec))
+                nrow.append(tuple(out))
+            table.append(tuple(trow))
+            nums.append(tuple(nrow))
+        out = cls(dim, tuple(table))
+        # a frozen dataclass, so the cached property goes straight into __dict__
+        out.__dict__["integral"] = (den, tuple(nums))
+        return out
+
     @cached_property
     def nonzeros(self) -> tuple:
         """nonzeros[a][m] = the nonzero (k, c) of e_a o e_m."""
@@ -665,7 +703,8 @@ class ProductTensor:
     def integral(self) -> tuple:
         """(den, rows): rows[a][m] = the nonzero (k, num) of e_a o e_m as
         ints over the one common denominator den, so that
-        table[a][m][k] == num / den exactly."""
+        table[a][m][k] == num / den exactly; seeded by
+        :meth:`from_integral`."""
         nz = self.nonzeros
         den, nums = integral(c for row in nz for cell in row for _, c in cell)
         it = iter(nums)

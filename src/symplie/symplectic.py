@@ -33,7 +33,7 @@ from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
                      int_matrix, int_product, int_sum, is_zero_vector, kernel, rank,
                      rational_matrix, sparse, subspace_intersect, unit_vector,
                      vdot, vector)
-from .rationals import ZERO, rational
+from .rationals import ZERO
 
 
 class InvalidSymplecticError(SymplieError):
@@ -129,9 +129,11 @@ class SkewForm:
         over the int numerators of f (:meth:`int_adjoint`), each entry
         converted to a scalar once.
 
-        The last f and f* are kept, so that check_admissible and
-        build_extension_candidate, called in turn by double_extend with
-        the same xi, compute xi* once between them.
+        The last f and f* are kept, so a caller that asks again for the
+        adjoint of an equal map, through this method or
+        SymplecticLieAlgebra.adjoint, gets the same object back without
+        a second product.  The extension path no longer comes here: it
+        takes xi* from :meth:`int_adjoint` as int rows.
         """
         if f.shape != (self.dim, self.dim):
             raise ValueError("endomorphism shape mismatch")
@@ -262,16 +264,14 @@ class SymplecticLieAlgebra:
         # c[i][j][w] = cden * omega([e_i, e_j], e_w)
         cden, c = self.omega_brackets
         # e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / (3 cden)
-        den = 3 * cden * iden
         rows = []
         for i in range(n):
             cells = []
             for j in range(n):
                 phi = [c[i][j][w] + c[i][w][j] for w in range(n)]
-                nums = [-sum(x * phi[w] for w, x in inv_k) for inv_k in inv]
-                cells.append(tuple(rational(x, den) if x else ZERO for x in nums))
-            rows.append(tuple(cells))
-        return ProductTensor(n, tuple(rows))
+                cells.append(sparse([-sum(x * phi[w] for w, x in inv_k) for inv_k in inv]))
+            rows.append(cells)
+        return ProductTensor.from_integral(n, 3 * cden * iden, rows)
 
     @cached_property
     def natural_product(self) -> ProductTensor:

@@ -17,7 +17,11 @@ W^-1 ad^T W, and a full product plus Subspace.contains per membership.
 that the library ran before its elimination moved to integer rows, and
 the ``fraction_*`` change of basis, adjoint and tower conjugation are the
 dense Matrix formulations the reduction path ran before it moved to
-integer rows.
+integer rows.  ``fraction_build_extension_candidate`` is the scalar
+assembly of a double extension, and the ``rational_*`` canonical product
+and change of basis build each cell from int numerators with
+rationals.rational, as the library did before those producers kept their
+numerators through ProductTensor.from_integral.
 """
 
 import sympy
@@ -27,9 +31,10 @@ from symplie.extension import (AdmissibilityReport, AdmissiblePair,
 from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
                          LowerCentralSeries)
 from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
-                            commutator, inverse, is_zero_vector, kernel, solve,
+                            commutator, int_inverse, int_matmul, int_matrix,
+                            int_product, inverse, is_zero_vector, kernel, solve,
                             sparse, subspace_intersect, unit_vector, vector)
-from symplie.rationals import ONE, THIRD, ZERO, Q, qstr
+from symplie.rationals import ONE, THIRD, ZERO, Q, qstr, rational
 from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor, SkewForm,
                                 StructuralReport, SymplecticLieAlgebra,
                                 classify_subspace, curvature_residuals, perp,
@@ -561,3 +566,86 @@ def fraction_compose_tower(steps) -> tuple:
         # diag(1, w, 1) in the [e, base..., ebar] layout
         w = step.transform @ fraction_bordered(w, ((ONE, ZERO), (ZERO, ONE)))
     return pairs, w
+
+
+# ---------------------------------------------------------------------------
+# the producers that built scalar cells before they kept their numerators
+
+def fraction_build_extension_candidate(base, xi: Matrix, b0) -> SymplecticLieAlgebra:
+    """The extension in the [e, base..., ebar] layout from scalar
+    covectors, Matrix sums and a sparse dict of scalar brackets."""
+    n = base.dim
+    if xi.shape != (n, n):
+        raise ValueError(f"xi must be {n}x{n}")
+    b0 = vector(b0)
+    if len(b0) != n:
+        raise ValueError(f"b0 must have length {n}")
+    form_b = base.form
+    xi_star = fraction_adjoint_map(form_b, xi)
+    sym = xi + xi_star
+    d = xi_star - xi.scale(Q(2))
+
+    def embed(v):
+        return [ZERO] + list(v) + [ZERO]
+
+    names = tuple(f"e{k + 1}" for k in range(n + 2))
+    entries = {}
+    # base x base: [a, b] = [a, b]_B + omega_B((xi + xi*)(a), b) e
+    for p in range(n):
+        sym_p = form_b.covector(sym.col(p))
+        for q in range(p + 1, n):
+            vec = embed(base.algebra.table[p][q])
+            vec[0] += sym_p[q]
+            coeffs = {k: c for k, c in enumerate(vec) if c}
+            if coeffs:
+                entries[(1 + p, 1 + q)] = coeffs
+    # base x ebar: [a, ebar] = -[ebar, a] = (2 xi - xi*)(a) - omega_B(b0, a) e
+    b0_cov = form_b.covector(b0)
+    for p in range(n):
+        vec = embed(tuple(-x for x in d.col(p)))
+        vec[0] -= b0_cov[p]
+        coeffs = {k: c for k, c in enumerate(vec) if c}
+        if coeffs:
+            entries[(1 + p, n + 1)] = coeffs
+    algebra = LieAlgebra.from_sparse(names, entries)
+    form = fraction_bordered(form_b.matrix, ((ZERO, ONE), (-ONE, ZERO)))
+    return SymplecticLieAlgebra(algebra, SkewForm(form))
+
+
+def rational_canonical_product(s) -> ProductTensor:
+    """The canonical product from the omega brackets and W^-1 over ints,
+    each cell converted to scalars with rationals.rational."""
+    n = s.dim
+    iden, inv = s.form.int_inverse
+    inv = [sparse(r) for r in inv]
+    cden, c = s.omega_brackets
+    den = 3 * cden * iden
+    rows = []
+    for i in range(n):
+        cells = []
+        for j in range(n):
+            phi = [c[i][j][w] + c[i][w][j] for w in range(n)]
+            nums = [-sum(x * phi[w] for w, x in inv_k) for inv_k in inv]
+            cells.append(tuple(rational(x, den) if x else ZERO for x in nums))
+        rows.append(tuple(cells))
+    return ProductTensor(n, tuple(rows))
+
+
+def rational_lie_change_of_basis(algebra, t: Matrix, names=None) -> LieAlgebra:
+    """T^-1 [T_i, T_j] over ints, each entry converted with
+    rationals.rational into the dict of LieAlgebra.from_sparse."""
+    n = algebra.dim
+    if t.shape != (n, n):
+        raise ValueError("change of basis matrix has wrong shape")
+    vden, tinv = int_inverse(t.entries)
+    tden, trows = int_matrix(t)
+    bden, rows = algebra.bracket_tensor.integral
+    den = vden * tden * tden * bden
+    names = tuple(f"y{k + 1}" for k in range(n)) if names is None else names
+    cols = [sparse(c) for c in zip(*trows)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    new = zip(*int_matmul(tinv, list(zip(*(int_product(rows, cols[i], cols[j], n)
+                                            for i, j in pairs)))))
+    return LieAlgebra.from_sparse(names, {
+        pair: {k: rational(x, den) for k, x in enumerate(row) if x}
+        for pair, row in zip(pairs, new)})

@@ -10,7 +10,7 @@ from symplie.extension import (AdmissiblePair, NotAdmissibleError,
                                inverse_double_extend, nilpotency_trace_report,
                                reduction_tower, symplectic_reduce, tower_pairs,
                                tower_transform, zero_symplectic)
-from symplie.linalg import Matrix, Subspace, unit_vector
+from symplie.linalg import Matrix, Subspace, int_matrix, rational_matrix, unit_vector
 from symplie.rationals import Q
 from symplie.symplectic import (InvalidSymplecticError, SkewForm,
                                 SymplecticLieAlgebra, change_of_basis,
@@ -117,26 +117,33 @@ class TestDoubleExtend:
         assert "skew_part_kills_b0" in str(info.value)
 
     def test_xi_star_computed_once(self, entries, monkeypatch):
-        """check_admissible and build_extension_candidate share one xi*."""
-        results = []
-        original = SkewForm.adjoint_map
+        """double_extend computes xi* once, as int rows, and shares it
+        between the identity check and the assembly."""
+        calls = []
+        original = SkewForm.int_adjoint
 
-        def spy(self, f):
-            out = original(self, f)
-            results.append((f, out))
+        def spy(self, rows):
+            out = original(self, rows)
+            calls.append(([list(r) for r in rows], out))
             return out
 
-        monkeypatch.setattr(SkewForm, "adjoint_map", spy)
+        def no_scalar_adjoint(self, f):
+            raise AssertionError("double_extend built a scalar adjoint")
+
+        monkeypatch.setattr(SkewForm, "int_adjoint", spy)
+        monkeypatch.setattr(SkewForm, "adjoint_map", no_scalar_adjoint)
         points = (catalog.admissible_family(fam, params) for fam in catalog.family_names()
                   for params in catalog.family_parameter_grid(fam))
         base_name, pair = next(pt for pt in points if not pt[1].xi.is_zero())
         base = entries[base_name].algebra
         base = SymplecticLieAlgebra(base.algebra, base.form)
+        xden, xs = int_matrix(pair.xi)
         double_extend(base, pair)
-        stars = [out for f, out in results if f is pair.xi]
-        assert len(stars) == 2
-        assert stars[0] is stars[1]
-        assert stars[0] == base.form.inverse_matrix @ pair.xi.transpose() @ base.form.matrix
+        stars = [out for rows, out in calls if rows == xs]
+        assert len(stars) == 1
+        den, star = stars[0]
+        assert rational_matrix(den * xden, star) \
+            == base.form.inverse_matrix @ pair.xi.transpose() @ base.form.matrix
 
     def test_inadmissible_candidate_really_breaks(self, entries):
         # the unchecked build must fail the axioms, not silently succeed
