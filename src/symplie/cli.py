@@ -133,7 +133,8 @@ def _cmd_verify(args) -> int:
 def _parse_xi(raw: str, n: int) -> Matrix:
     if raw == "zero":
         return Matrix.zeros(n, n)
-    text = raw if raw.lstrip().startswith("[") else Path(raw).read_text()
+    # inline JSON starts a list or an object; anything else names a file
+    text = raw if raw.lstrip().startswith(("[", "{")) else Path(raw).read_text()
     rows = parse_document(text)
     if not isinstance(rows, list) or len(rows) != n \
             or any(not isinstance(r, list) or len(r) != n for r in rows):
@@ -146,9 +147,9 @@ def _parse_xi(raw: str, n: int) -> Matrix:
 
 
 def _parse_b0(raw: str, n: int) -> tuple:
-    if raw == "zero" or raw.strip() == "":
-        return tuple([parse_rational("0")] * n) if n else ()
-    parts = [p.strip() for p in raw.split(",")]
+    if raw == "zero":
+        return tuple([parse_rational("0")] * n)
+    parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
     if len(parts) != n:
         raise ValueError(f"--b0 must list {n} comma-separated rationals")
     return tuple(parse_rational(p) for p in parts)

@@ -388,8 +388,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
         raise ExtensionInvariantError(
             "recovered pair is not admissible; failed: "
             + ", ".join(exc.report.failed_names())) from exc
-    if (rebuilt.algebra.table != adapted.algebra.table
-            or rebuilt.form.matrix != adapted.form.matrix):
+    if (rebuilt.algebra, rebuilt.form) != (adapted.algebra, adapted.form):
         raise ExtensionInvariantError("rebuilt extension differs from input")
     return ReductionStep(base=base, pair=pair, e=vector(e), ebar=ebar, transform=t)
 

@@ -1,23 +1,23 @@
 """Lie algebras by structure constants over the exact rationals.
 
-A :class:`LieAlgebra` stores the full antisymmetric bracket table
-``table[i][j] = [e_i, e_j]`` as coordinate tuples.  Constructors accept
-only the ``i < j`` half and fill in the rest, so antisymmetry holds by
-construction; the Jacobi identity is the only axiom left to check.
-Brackets are evaluated by a :class:`ProductTensor` over the same table.
+A :class:`LieAlgebra` holds its bracket as a :class:`ProductTensor`,
+int numerators over one denominator; the scalar ``table[i][j] = [e_i,
+e_j]`` is that tensor's view, derived on first read.  The sparse and
+integral constructors accept only the ``i < j`` half and fill in the
+rest, so antisymmetry holds by construction; the Jacobi identity is the
+only axiom left to check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel, dense,
-                     int_inverse, int_matmul, int_matrix, int_product,
+                     int_inverse, int_matmul, int_matrix, int_product, int_sum,
                      is_zero_vector, sparse)
-from .rationals import ZERO, as_q, rational
+from .rationals import as_q, rational
 
 
 class InvalidLieAlgebraError(SymplieError):
@@ -36,17 +36,26 @@ class JacobiViolation(NamedTuple):
     residual: Vec
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
-    basis_names: tuple
-    table: tuple  # table[i][j] = coordinates of [e_i, e_j]
+    """A Lie algebra as basis names and the :class:`ProductTensor` of its
+    bracket, whose int numerators are its only state."""
 
-    def __post_init__(self):
-        n = len(self.basis_names)
-        if len(set(self.basis_names)) != n:
+    def __init__(self, basis_names: Sequence[str], table):
+        """table[i][j] = [e_i, e_j] as coordinates, converted once to the
+        bracket tensor."""
+        names = tuple(basis_names)
+        self._set(names, ProductTensor(len(names), table))
+
+    def _set(self, names: tuple, tensor: ProductTensor) -> None:
+        if len(set(names)) != len(names):
             raise ValueError("basis names must be unique")
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise ValueError("bracket table shape mismatch")
+        self.basis_names, self.bracket_tensor = names, tensor
+
+    @classmethod
+    def _of(cls, names: tuple, tensor: ProductTensor) -> "LieAlgebra":
+        out = cls.__new__(cls)
+        out._set(names, tensor)
+        return out
 
     @classmethod
     def from_sparse(cls, names: Sequence[str],
@@ -61,15 +70,14 @@ class LieAlgebra:
             vec = {k: as_q(c) for k, c in coeffs.items()}
             entries[(i, j)] = vec
             entries[(j, i)] = {k: -c for k, c in vec.items()}
-        return cls(names, ProductTensor.from_sparse(n, entries).table)
+        return cls._of(names, ProductTensor.from_sparse(n, entries))
 
     @classmethod
     def from_integral(cls, names: Sequence[str], den: int,
                       brackets: Mapping[tuple, Sequence]) -> "LieAlgebra":
         """Build from ``{(i, j): ((k, num), ...)}`` with ``i < j`` (0-based):
-        [e_i, e_j] = sum of num e_k / den, with k increasing.  The bracket
-        tensor is :meth:`ProductTensor.from_integral` over these
-        numerators, so it keeps them as its integral."""
+        [e_i, e_j] = sum of num e_k / den, with k increasing, through
+        :meth:`ProductTensor.from_integral`, so no scalar is built."""
         names = tuple(names)
         n = len(names)
         rows = [[()] * n for _ in range(n)]
@@ -78,22 +86,25 @@ class LieAlgebra:
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             rows[i][j] = cell
             rows[j][i] = tuple((k, -x) for k, x in cell)
-        tensor = ProductTensor.from_integral(n, den, rows)
-        out = cls(names, tensor.table)
-        # a frozen dataclass, so the cached property goes straight into __dict__
-        out.__dict__["bracket_tensor"] = tensor
-        return out
+        return cls._of(names, ProductTensor.from_integral(n, den, rows))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LieAlgebra) and self.basis_names == other.basis_names
+                and self.bracket_tensor == other.bracket_tensor)
+
+    def __hash__(self) -> int:
+        return hash((self.basis_names, self.bracket_tensor))
 
     @property
     def dim(self) -> int:
         return len(self.basis_names)
 
-    # -- brackets ------------------------------------------------------------
+    @property
+    def table(self) -> tuple:
+        """table[i][j] = [e_i, e_j] as scalars, the bracket tensor's table."""
+        return self.bracket_tensor.table
 
-    @cached_property
-    def bracket_tensor(self) -> ProductTensor:
-        """The bracket as a product tensor over this very table."""
-        return ProductTensor(self.dim, self.table)
+    # -- brackets ------------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         return self.table[i][j]
@@ -110,9 +121,9 @@ class LieAlgebra:
     def validate(self) -> tuple:
         """All Jacobi violations on basis triples i < j < k (empty = valid).
 
-        The sum runs over the integer rows of the bracket's
-        :attr:`ProductTensor.integral`, so it is den^2 times the residual;
-        only a failing triple's residual is converted back to scalars.
+        The sum is one :func:`int_sum` over the integer rows of the
+        bracket's :attr:`ProductTensor.integral`, so it is den^2 times the
+        residual; only a failing triple's residual becomes scalars.
         """
         n = self.dim
         den, rows = self.bracket_tensor.integral
@@ -121,11 +132,8 @@ class LieAlgebra:
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                    acc = [0] * n
-                    for cell, m in ((rows[i][j], k), (rows[j][k], i), (rows[k][i], j)):
-                        for a, c in cell:
-                            for b, d in rows[a][m]:
-                                acc[b] += c * d
+                    acc = int_sum([(c, rows[a][m]) for cell, m in ((rows[i][j], k),
+                                   (rows[j][k], i), (rows[k][i], j)) for a, c in cell], n)
                     if any(acc):
                         res = tuple(rational(x, den * den) for x in acc)
                         out.append(JacobiViolation((i, j, k), res))
@@ -215,10 +223,10 @@ class LieAlgebra:
 
     def trace_character(self) -> Vec:
         """The covector u -> tr(ad_u), evaluated on the basis:
-        tr ad_{e_i} = sum_m [e_i, e_m]_m, read off the table."""
-        n = self.dim
-        return tuple(sum((self.table[i][m][m] for m in range(n)), ZERO)
-                     for i in range(n))
+        tr ad_{e_i} = sum_m [e_i, e_m]_m, read off the integral rows."""
+        den, rows = self.bracket_tensor.integral
+        return tuple(rational(sum(c for m, cell in enumerate(row) for k, c in cell if k == m),
+                              den) for row in rows)
 
     def is_unimodular(self) -> bool:
         return is_zero_vector(self.trace_character())

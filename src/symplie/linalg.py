@@ -1,21 +1,21 @@
 """Deterministic exact linear algebra over the rationals.
 
-Matrices are immutable row-major grids of exact rationals.  Subspaces
-are stored in reduced column echelon form with strictly increasing
-pivot rows, so two equal subspaces always carry identical basis
-matrices and compare equal as plain values.  Bilinear products (the Lie
-bracket and the canonical product alike) are :class:`ProductTensor`
-tables contracted by the one loop in :func:`accumulate`.
+Matrices are immutable row-major grids of exact rationals.  A
+:class:`Subspace` and a bilinear :class:`ProductTensor` (the Lie bracket
+and the canonical product alike) keep int numerators as their only
+state, in a canonical form, so they compare equal exactly when the
+subspaces or products are equal; their scalar views (``basis``,
+``table``) are derived on first read.  Int rows are contracted by the
+one loop in :func:`int_sum`, scalar ones by :func:`accumulate`.
 
 Elimination is fraction-free, over Python ints: each rational row enters
 as the integer numerators of :func:`rationals.integral`, rows are
-combined without division and then divided by their content, and each
-pivot row becomes scalars once, at the end, divided by its pivot through
-:func:`rationals.rational`.  Callers that hold integer numerators (the
-Lie series, the center, the perps, the multiplication kernels) pass int
-rows and grids in directly, and every subspace keeps its basis columns as
-integer numerators in :attr:`Subspace.integral`.  Results are scalars in
-every case.
+combined without division and then divided by their content.  Callers
+that hold integer numerators (the Lie series, the center, the perps, the
+multiplication kernels) pass int rows and grids in directly.  A subspace
+keeps its pivot rows as they come out; the scalar results of
+:func:`rref`, :func:`solve` and :func:`inverse` divide each pivot row by
+its pivot through :func:`rationals.rational`.
 
 Every elimination pivots on the first nonzero candidate in row-major
 order; there is no scoring or heuristics, which keeps all derived data
@@ -26,7 +26,7 @@ echelon form is unique, so they equal what Gauss-Jordan over Q gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -485,75 +485,73 @@ def common_kernel(maps: Sequence, n: int) -> "Subspace":
 # ---------------------------------------------------------------------------
 # subspaces
 
-@dataclass(frozen=True)
 class Subspace:
     """Canonical subspace of Q^n.
 
-    basis columns are in reduced column echelon form: unit pivots on
-    strictly increasing rows, zeros elsewhere in each pivot row.  Value
-    equality therefore decides subspace equality.
+    Its state is :attr:`integral`: the rows of the reduced row echelon
+    form of any spanning set, each as the nonzero (k, num) of its
+    primitive int multiple with a positive pivot, which comes first.  They
+    are unique, so equality of this state decides subspace equality.
+    :attr:`basis`, the same vectors as scalar columns in reduced column
+    echelon form, is derived on first read.
     """
 
-    ambient_dim: int
-    basis: Matrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        """The subspace with this reduced column echelon basis, converted to
+        ints once; any other basis raises ValueError."""
+        if basis.rows != ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
-        last = -1
-        for j in range(self.basis.cols):
-            col = self.basis.col(j)
-            pivot = next((i for i, x in enumerate(col) if x), None)
-            if pivot is None or pivot <= last or col[pivot] != ONE:
-                raise ValueError("basis is not in reduced column echelon form")
-            for k in range(self.basis.cols):
-                if k != j and self.basis.entry(pivot, k):
-                    raise ValueError("basis is not fully reduced")
-            last = pivot
+        cols = [integral(c)[1] for c in basis.columns()]
+        self.ambient_dim, self.integral = ambient_dim, tuple(map(sparse, cols))
+        if Subspace.span(ambient_dim, cols) != self:
+            raise ValueError("basis is not in reduced column echelon form")
+
+    @classmethod
+    def _of(cls, ambient_dim: int, cols: tuple) -> "Subspace":
+        out = cls.__new__(cls)
+        out.ambient_dim, out.integral = ambient_dim, cols
+        return out
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of vectors; int vectors (integer numerators) are
         eliminated as they are."""
         rows = [_int_row(v) for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("spanning vector has wrong length")
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("spanning vector has wrong length")
         pivots = _rref_rows(rows, ambient_dim)
-        # the pivot rows of a reduced row echelon form are the columns of
-        # a reduced column echelon basis, so they need no second check
-        cols = _reduced(rows, pivots)
-        basis = Matrix(ambient_dim, len(cols),
-                       tuple(zip(*cols)) if cols else ((),) * ambient_dim)
-        out = object.__new__(cls)
-        object.__setattr__(out, "ambient_dim", ambient_dim)
-        object.__setattr__(out, "basis", basis)
-        # each pivot row is primitive with a positive pivot, so it is the
-        # integral of its basis column
-        object.__setattr__(out, "integral", tuple(sparse(row) for row in rows[:len(pivots)]))
-        return out
+        # each pivot row is primitive with a positive pivot
+        return cls._of(ambient_dim, tuple(sparse(row) for row in rows[:len(pivots)]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zeros(ambient_dim, 0))
+        return cls._of(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls._of(ambient_dim, tuple(((k, 1),) for k in range(ambient_dim)))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and self.integral == other.integral)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.integral))
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.integral)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The basis as scalar columns, each integral row over its pivot."""
+        n = self.ambient_dim
+        cols = [tuple(rational(x, col[0][1]) if x else ZERO for x in dense(col, n))
+                for col in self.integral]
+        return Matrix(n, len(cols), tuple(zip(*cols)) if cols else ((),) * n)
 
     def columns(self) -> list:
         return self.basis.columns()
-
-    @cached_property
-    def integral(self) -> tuple:
-        """The basis columns as the nonzero (k, num) of their integral
-        numerators (:func:`rationals.integral`), one positive multiple of
-        each column in ints; the first pair of each is its pivot."""
-        return tuple(sparse(integral(col)[1]) for col in self.columns())
 
     def contains(self, v: Sequence) -> bool:
         v = _int_row(v)
@@ -601,68 +599,82 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # bilinear product tensors
 
-@dataclass(frozen=True)
+def _integral_rows(grid) -> tuple:
+    """(den, rows) for a grid of cells, each the nonzero (k, scalar) of a
+    vector: the numerators over the lcm of the denominators in lowest
+    terms, which share no factor with it, so the form is canonical."""
+    den, nums = integral(c for row in grid for cell in row for _, c in cell)
+    it = iter(nums)
+    return den, tuple(tuple(tuple((k, next(it)) for k, _ in cell) for cell in row)
+                      for row in grid)
+
+
 class ProductTensor:
-    """A bilinear product on Q^dim: table[i][j] = e_i o e_j."""
+    """A bilinear product on Q^dim.
 
-    dim: int
-    table: tuple
+    Its state is :attr:`integral` = (den, rows): rows[a][m] lists the
+    nonzero (k, num) of e_a o e_m as ints, k increasing, over the one
+    denominator den > 0, with no factor common to den and every num.
+    That form is unique, so two tensors are equal exactly when their
+    products are.  The scalar :attr:`table`, table[a][m][k] == num / den,
+    is derived on first read.
+    """
 
-    def __post_init__(self):
-        if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
+    def __init__(self, dim: int, table):
+        """The product with e_i o e_j = table[i][j], converted to ints once."""
+        if len(table) != dim or any(len(r) != dim for r in table):
             raise ValueError("product table shape mismatch")
+        self.dim = dim
+        self.integral = _integral_rows([[sparse(vector(cell)) for cell in row] for row in table])
 
     @classmethod
     def from_sparse(cls, dim: int, entries) -> "ProductTensor":
-        rows = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+        grid = [[()] * dim for _ in range(dim)]
         for (i, j), coeffs in entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product key ({i}, {j}) out of range for dim {dim}")
-            vec = [ZERO] * dim
-            for k, c in coeffs.items():
+            for k in coeffs:
                 if not 0 <= k < dim:
                     raise ValueError(f"product value index {k} out of range for dim {dim}")
-                vec[k] = as_q(c)
-            rows[i][j] = tuple(vec)
-        return cls(dim, tuple(tuple(r) for r in rows))
+            grid[i][j] = sparse(vector(coeffs.get(k, 0) for k in range(dim)))
+        return cls.from_integral(dim, *_integral_rows(grid))
 
     @classmethod
     def from_integral(cls, dim: int, den: int, rows) -> "ProductTensor":
         """The product with e_a o e_m = rows[a][m] / den, for den > 0 and
         each cell a sequence of (k, num) with increasing k.
 
-        den and every numerator are divided by their one gcd, so the
-        seeded :attr:`integral` is exactly the one the table would give.
-        Each nonzero cell becomes scalars once, and each distinct
-        numerator one scalar.
+        den and every numerator are divided by their one gcd and zero
+        numerators are dropped, so :attr:`integral` is canonical.  No
+        scalar is built.
         """
         g = gcd(den, *[x for row in rows for cell in row for _, x in cell])
-        den //= g
-        zero = zero_vector(dim)
-        scalars = {}
-        table, nums = [], []
-        for row in rows:
-            trow, nrow = [], []
-            for cell in row:
-                vec, out = zero, []
-                for k, x in cell:
-                    if x:
-                        x //= g
-                        q = scalars.get(x)
-                        if q is None:
-                            q = scalars[x] = rational(x, den)
-                        if not out:
-                            vec = [ZERO] * dim
-                        vec[k] = q
-                        out.append((k, x))
-                trow.append(tuple(vec))
-                nrow.append(tuple(out))
-            table.append(tuple(trow))
-            nums.append(tuple(nrow))
-        out = cls(dim, tuple(table))
-        # a frozen dataclass, so the cached property goes straight into __dict__
-        out.__dict__["integral"] = (den, tuple(nums))
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.integral = (den // g, tuple(tuple(tuple((k, x // g) for k, x in cell if x)
+                                              for cell in row) for row in rows))
         return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ProductTensor) and self.integral == other.integral
+
+    def __hash__(self) -> int:
+        return hash(self.integral)
+
+    @cached_property
+    def table(self) -> tuple:
+        """table[a][m] = e_a o e_m as scalars, each distinct numerator of
+        :attr:`integral` converted once."""
+        den, rows = self.integral
+        q = cache(lambda x: rational(x, den))
+        zero = zero_vector(self.dim)
+
+        def cell(pairs):
+            v = list(zero)
+            for k, x in pairs:
+                v[k] = q(x)
+            return tuple(v)
+        return tuple(tuple(cell(c) for c in row) for row in rows)
 
     @cached_property
     def nonzeros(self) -> tuple:
@@ -700,47 +712,18 @@ class ProductTensor:
         return self._operator(u, self.table)
 
     @cached_property
-    def integral(self) -> tuple:
-        """(den, rows): rows[a][m] = the nonzero (k, num) of e_a o e_m as
-        ints over the one common denominator den, so that
-        table[a][m][k] == num / den exactly; seeded by
-        :meth:`from_integral`."""
-        nz = self.nonzeros
-        den, nums = integral(c for row in nz for cell in row for _, c in cell)
-        it = iter(nums)
-        return den, tuple(tuple(tuple((k, next(it)) for k, _ in cell)
-                                for cell in row) for row in nz)
-
-    @cached_property
     def associators(self) -> tuple:
         """associators[i][j][k] = (e_i o e_j) o e_k - e_i o (e_j o e_k).
 
-        Each entry is one sparse sum over the integer rows of
-        :attr:`integral`, over den^2, converted to a scalar once."""
+        Each entry is one :func:`int_sum` over the rows of :attr:`integral`,
+        over den^2, each distinct numerator converted to a scalar once."""
         n = self.dim
         den, rows = self.integral
-        den2 = den * den
-        # few distinct numerators recur, so each is converted to a scalar once
-        scalars = {0: ZERO}
-
-        def entry(i, j, k):
-            acc = [0] * n
-            for a, c in rows[i][j]:
-                for m, d in rows[a][k]:
-                    acc[m] += c * d
-            for b, c in rows[j][k]:
-                for m, d in rows[i][b]:
-                    acc[m] -= c * d
-            out = []
-            for x in acc:
-                q = scalars.get(x)
-                if q is None:
-                    q = scalars[x] = rational(x, den2)
-                out.append(q)
-            return tuple(out)
-
-        return tuple(tuple(tuple(entry(i, j, k) for k in range(n))
-                           for j in range(n)) for i in range(n))
+        q = cache(lambda x: rational(x, den * den))
+        return tuple(tuple(tuple(
+            tuple(map(q, int_sum([(c, rows[a][k]) for a, c in rows[i][j]]
+                                 + [(-c, rows[i][b]) for b, c in rows[j][k]], n)))
+            for k in range(n)) for j in range(n)) for i in range(n))
 
     def left_symmetry_violations(self) -> tuple:
         """Basis triples (i, j, k), i < j, where ass(i,j,k) != ass(j,i,k)."""
@@ -754,4 +737,4 @@ class ProductTensor:
                    for row in plane for v in row)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(v) for row in self.table for v in row)
+        return not any(cell for row in self.integral[1] for cell in row)

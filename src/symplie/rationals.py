@@ -1,9 +1,7 @@
 """Exact rational scalars.
 
-gmpy2's ``mpq`` is used when available (it is much faster for the dense
-family sweeps); the stdlib ``Fraction`` is a drop-in replacement
-otherwise.  Every scalar enters the package through :func:`as_q` or
-:func:`parse_rational`, so the two backends are interchangeable.
+Scalars are the stdlib ``Fraction``; every scalar enters the package
+through :func:`as_q` or :func:`parse_rational`.
 
 Serialized rationals are strings ``"p"`` or ``"p/q"`` in lowest terms
 with a positive denominator and no whitespace; :func:`qstr` produces
@@ -14,24 +12,19 @@ rationals as integer numerators over one common denominator, and
 :func:`rational` turns one numerator back into a scalar.  They are the
 only code that reads a scalar's numerator and denominator or builds a
 scalar from a computed numerator and denominator; the fractions
-elsewhere are literal constants ``Q(p, q)``, which both backends accept.
+elsewhere are literal constants ``Q(p, q)``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction as Q
 
 from .errors import SymplieError
 
-try:
-    from gmpy2 import mpq as Q
-
-    GMPY2_BACKEND = True  # pragma: no cover - exercised only with gmpy2
-except ImportError:
-    from fractions import Fraction as Q
-
-    GMPY2_BACKEND = False
+# Fraction is the one backend; the flag stays for the benchmark labels
+GMPY2_BACKEND = False
 
 ZERO = Q(0)
 ONE = Q(1)

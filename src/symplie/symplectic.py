@@ -303,11 +303,12 @@ class SymplecticLieAlgebra:
         """The first basis pair (i, j), i < j, where the canonical product
         has nonzero curvature, or None when it is flat."""
         p = self.canonical_product
-        bad = lie_admissibility_failure(p, self.algebra.table)
+        bracket = self.algebra.bracket_tensor
+        bad = lie_admissibility_failure(p, bracket)
         if bad is not None:
             raise FlatnessInvariantError(
                 f"canonical product is not Lie-admissible at {bad}")
-        return _first_curvature_violation(p, self.algebra.bracket_tensor.integral)
+        return _first_curvature_violation(p, bracket.integral)
 
     @property
     def is_flat(self) -> bool:
@@ -322,21 +323,15 @@ class SymplecticLieAlgebra:
         associator tensor A of the canonical product.  Applied to e_m,
         (R_{e_i o e_j} - R_j R_i - [L_i, R_j]) e_m = A(i, m, j) - A(m, i, j),
         so the right form vanishes iff A(i, m, j) = A(m, i, j) for all
-        i, j, m, which is left symmetry.
+        i, j, m, which is left symmetry; it is evaluated once for both.
         """
         witness = self.curvature_witness
         curvature_ok = witness is None
-        p = self.canonical_product
-        a = p.associators
-        n = self.dim
-        right_ok = all(a[i][m][j] == a[m][i][j]
-                       for i in range(n) for j in range(n) for m in range(n))
-        left_sym = not p.left_symmetry_violations()
-        if not (curvature_ok == right_ok == left_sym):
-            raise FlatnessInvariantError(
-                f"flatness criteria disagree: curvature={curvature_ok}, "
-                f"right-form={right_ok}, left-symmetry={left_sym}")
-        return FlatnessChecks(curvature_ok, right_ok, left_sym, witness)
+        left_sym = not self.canonical_product.left_symmetry_violations()
+        if curvature_ok != left_sym:
+            raise FlatnessInvariantError(f"flatness criteria disagree: "
+                                         f"curvature={curvature_ok}, left-symmetry={left_sym}")
+        return FlatnessChecks(curvature_ok, left_sym, left_sym, witness)
 
     # -- delegated structure -------------------------------------------------
 
@@ -355,14 +350,17 @@ class SymplecticLieAlgebra:
         return perp(self, f)
 
 
-def lie_admissibility_failure(product: ProductTensor, table) -> Optional[tuple]:
+def lie_admissibility_failure(product: ProductTensor,
+                              bracket: ProductTensor) -> Optional[tuple]:
     """The first basis pair (i, j), i < j, where e_i o e_j - e_j o e_i
-    differs from the bracket table entry, or None."""
+    differs from [e_i, e_j], or None; compared over the rows of both
+    integrals, times pden bden."""
     n = product.dim
-    p = product.table
+    pden, p = product.integral
+    bden, b = bracket.integral
     for i in range(n):
         for j in range(i + 1, n):
-            if tuple(a - b for a, b in zip(p[i][j], p[j][i])) != table[i][j]:
+            if any(int_sum(((bden, p[i][j]), (-bden, p[j][i]), (-pden, b[i][j])), n)):
                 return (i, j)
     return None
 
@@ -384,26 +382,12 @@ def _first_curvature_violation(product: ProductTensor, bracket: tuple) -> Option
     bden, br = bracket
     n = product.dim
     for i in range(n):
-        left_i = nz[i]
         for j in range(i + 1, n):
-            left_j = nz[j]
-            bracket = br[i][j]
             for m in range(n):
                 # den^2 * bden times the residual at e_m
-                acc = [0] * n
-                for a, c in bracket:
-                    c *= den
-                    for k, d in nz[a][m]:
-                        acc[k] += c * d
-                for k, c in left_j[m]:
-                    c *= bden
-                    for l, d in left_i[k]:
-                        acc[l] -= c * d
-                for k, c in left_i[m]:
-                    c *= bden
-                    for l, d in left_j[k]:
-                        acc[l] += c * d
-                if any(acc):
+                if any(int_sum([(den * c, nz[a][m]) for a, c in br[i][j]]
+                               + [(-bden * c, nz[i][k]) for k, c in nz[j][m]]
+                               + [(bden * c, nz[j][k]) for k, c in nz[i][m]], n)):
                     return (i, j)
     return None
 
@@ -418,7 +402,7 @@ def curvature_residuals(product: ProductTensor, algebra: LieAlgebra) -> dict:
     n = algebra.dim
     if product.dim != n:
         raise ValueError("product dimension mismatch")
-    bad = lie_admissibility_failure(product, algebra.table)
+    bad = lie_admissibility_failure(product, algebra.bracket_tensor)
     if bad is not None:
         raise NotLieAdmissibleError(
             f"product commutator differs from bracket at {bad}")
@@ -761,7 +745,9 @@ def change_of_basis(s: SymplecticLieAlgebra, t: Matrix,
     """The same structure written in the basis given by the columns of t.
 
     The new Gram matrix T^T W T is one int product of T's numerators and
-    the form's integral rows, each entry converted to a scalar once.
+    the form's integral rows, each entry converted to a scalar once.  The
+    result is valid whenever s is and t is invertible, so it is not
+    validated again; a singular t raises SingularMatrixError.
     """
     new_alg = s.algebra.change_of_basis(t, names)
     n = s.dim
@@ -770,4 +756,4 @@ def change_of_basis(s: SymplecticLieAlgebra, t: Matrix,
     wt = int_matmul([dense(r, n) for r in gram], trows)
     new_form = SkewForm(rational_matrix(wden * tden * tden,
                                         int_matmul(list(zip(*trows)), wt)))
-    return validate_symplectic(new_alg, new_form)
+    return SymplecticLieAlgebra(new_alg, new_form)

@@ -281,6 +281,18 @@ def reference_flatness(s, a: tuple) -> FlatnessChecks:
 # ---------------------------------------------------------------------------
 # the exact scalar loops that the integer kernel replaced
 
+def fraction_lie_admissibility_failure(product: ProductTensor, table):
+    """The first basis pair (i, j), i < j, where e_i o e_j - e_j o e_i
+    differs from the bracket table entry, or None; dense scalar tuples."""
+    n = product.dim
+    p = product.table
+    for i in range(n):
+        for j in range(i + 1, n):
+            if tuple(a - b for a, b in zip(p[i][j], p[j][i])) != table[i][j]:
+                return (i, j)
+    return None
+
+
 def fraction_first_curvature_violation(product: ProductTensor, table):
     """The first pair (i, j), i < j, with a nonzero curvature residual,
     each residual one sparse sum of scalars over the nonzero entries."""

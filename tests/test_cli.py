@@ -212,6 +212,19 @@ class TestExtend:
                          "--pair", str(pair_path))
         assert rc == 1 and "base dimension 4" in err
 
+    def test_empty_b0_and_inline_object_xi(self, capsys):
+        # an empty --b0 lists no rationals, which only a dim-0 base accepts
+        rc, _, err = run(capsys, "extend", "--catalog", "abelian2",
+                         "--xi", "zero", "--b0", "")
+        assert rc == 1 and "must list 2 comma-separated rationals" in err
+        rc, out, _ = run(capsys, "extend", "--catalog", "zero",
+                         "--xi", "zero", "--b0", "")
+        assert rc == 0 and parse_document(out)["dim"] == 2
+        # inline JSON that is not an array is rejected as such, not read as a path
+        rc, _, err = run(capsys, "extend", "--catalog", "abelian2",
+                         "--xi", '{"a": 1}', "--b0", "zero")
+        assert rc == 1 and "--xi must be a 2x2 array" in err
+
 
 class TestReduce:
     def test_single_step(self, capsys, tmp_path):
