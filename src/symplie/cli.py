@@ -192,8 +192,9 @@ def _cmd_reduce(args) -> int:
     if args.center_index is not None:
         center = s.center
         if not 0 <= args.center_index < center.dim:
-            raise ValueError(
-                f"--center-index must be below the center dimension {center.dim}")
+            valid = f"0..{center.dim - 1}" if center.dim else "none"
+            raise ValueError(f"--center-index {args.center_index} is out of range: "
+                             f"the center dimension {center.dim} allows {valid}")
         e = center.columns()[args.center_index]
     step = inverse_double_extend(s, e)
     _emit(algebra_to_document(step.base), args.out)

@@ -27,7 +27,7 @@ from .errors import SymplieError
 from .extension import AdmissiblePair
 from .lie import LieAlgebra
 from .linalg import Matrix
-from .rationals import RationalSyntaxError, parse_rational, qstr
+from .rationals import RationalSyntaxError, parse_rational, qstr, rational
 from .symplectic import (SkewForm, SymplecticLieAlgebra, validate_symplectic)
 
 
@@ -70,21 +70,18 @@ def _parse_coeff(text, path: str):
 
 def algebra_to_document(s: SymplecticLieAlgebra,
                         meta: Mapping | None = None) -> dict:
+    """The canonical document of s, written from the int numerators of
+    its bracket and Gram matrix: each nonzero entry with i < j becomes
+    one rational string."""
     names = s.basis_names
     n = s.dim
-    brackets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = s.algebra.table[i][j]
-            value = {names[k]: qstr(c) for k, c in enumerate(vec) if c}
-            if value:
-                brackets.append({"u": names[i], "v": names[j], "value": value})
-    omega = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = s.form.matrix.entry(i, j)
-            if c:
-                omega.append({"u": names[i], "v": names[j], "value": qstr(c)})
+    bden, rows = s.algebra.bracket_tensor.integral
+    brackets = [{"u": names[i], "v": names[j],
+                 "value": {names[k]: qstr(rational(x, bden)) for k, x in rows[i][j]}}
+                for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    wden, gram = s.form.integral
+    omega = [{"u": names[i], "v": names[j], "value": qstr(rational(x, wden))}
+             for i in range(n) for j, x in gram[i] if j > i]
     doc = {"dim": n, "basis": list(names), "brackets": brackets, "omega": omega}
     if meta:
         doc["meta"] = dict(meta)

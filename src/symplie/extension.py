@@ -6,32 +6,45 @@ e is central and omega-dual to ebar, both are orthogonal to the old
 algebra, and the new structure is determined by an endomorphism xi of
 the base together with a base vector b0.  The pair (xi, b0) must satisfy
 five compatibility identities, checked by :func:`check_admissible`.
-Conversely :func:`inverse_double_extend` splits any flat algebra along a
-central isotropic line and recovers a pair that rebuilds it exactly.
 The extension is born over integer numerators: xi, its omega-adjoint
 xi* and b0 are int rows over one denominator, computed once per
 :func:`double_extend` and shared by the admissibility check and the
-assembly, and the new bracket is built from its numerators by
-:meth:`LieAlgebra.from_integral`, which keeps them.  The change of basis
-of each split and the tower conjugations run over ints too, as in
-:mod:`linalg`.
+assembly, and the new bracket and form are built from their numerators
+by :meth:`LieAlgebra.from_integral` and :meth:`SkewForm.from_integral`,
+which keep them.
+
+Conversely :func:`inverse_double_extend` splits any flat algebra along a
+central isotropic line and recovers a pair that rebuilds it exactly.  In
+the adapted basis (e, b_1, ..., b_n, ebar), with omega(e, ebar) = 1 and
+both orthogonal to the b_q, the e-coefficient of a vector v is
+omega(v, ebar).  The identity 3 omega(x o y, z) = omega([x,y], z) +
+omega([x,z], y) of the canonical product then gives the pair from the
+omega-brackets of the adapted algebra alone:
+
+    3 omega_B(xi(b_p), b_q) = omega([b_p, b_q], ebar) + omega([b_p, ebar], b_q)
+      omega_B(b0, b_q)      = omega([ebar, b_q], ebar)
+
+and xi(b_p) and b0 are the omega_B-duals of these covectors, through the
+inverse of the base form that the base's flatness check computes anyway.
+The split runs over ints from the center basis to the tower
+conjugations, as in :mod:`linalg`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
 from .linalg import (Matrix, Subspace, Vec, accumulate, dense, int_inverse,
-                     int_matmul, int_matrix, int_product, int_sum, rational_matrix,
-                     solve, sparse, subspace_intersect, subspace_sum, unit_vector,
-                     vector)
-from .rationals import ONE, THIRD, ZERO, Q, integral, rational
+                     int_matmul, int_matrix, int_product, int_sum, kernel,
+                     rational_matrix, solve, sparse, subspace_intersect, subspace_sum,
+                     unit_vector, vector)
+from .rationals import THIRD, ZERO, Q, integral, rational
 from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
-                         change_of_basis, classify_subspace, perp)
+                         classify_subspace, int_change_of_basis, perp)
 
 
 class NotFlatError(SymplieError):
@@ -111,9 +124,8 @@ def _pair_rows(base: SymplecticLieAlgebra, xi: Matrix, b0: Sequence) -> tuple:
     """(den, rows): row k of [X | S | B] as ints over one den, with
     xi = X / den, its omega-adjoint xi* = S / den and b0 = B / den.
 
-    S comes from :meth:`SkewForm.int_adjoint` on the numerators of xi, so
-    xi* is never built as scalars.  double_extend computes these rows once
-    for the identity check and the assembly.
+    double_extend computes these rows once for the identity check and the
+    assembly; :func:`_int_pair_rows` does the work.
     """
     n = base.dim
     if xi.shape != (n, n):
@@ -121,10 +133,15 @@ def _pair_rows(base: SymplecticLieAlgebra, xi: Matrix, b0: Sequence) -> tuple:
     b0 = vector(b0)
     if len(b0) != n:
         raise ValueError(f"b0 must have length {n}")
-    xden, xs = int_matrix(xi)
+    return _int_pair_rows(base, *int_matrix(xi), *integral(b0))
+
+
+def _int_pair_rows(base: SymplecticLieAlgebra, xden: int, xs, bden: int, bs) -> tuple:
+    """:func:`_pair_rows` for xi = xs / xden and b0 = bs / bden given as
+    int rows.  S comes from :meth:`SkewForm.int_adjoint` on the
+    numerators of xi, so xi* is never built as scalars."""
     sden, ss = base.form.int_adjoint(xs)
     sden *= xden  # xi* = ss / sden
-    bden, bs = integral(b0)
     den = lcm(sden, bden)
     fx, fs, fb = den // xden, den // sden, den // bden
     return den, [[fx * a for a in x] + [fs * a for a in s] + [fb * b]
@@ -218,20 +235,16 @@ def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityR
 # ---------------------------------------------------------------------------
 # forward construction
 
-def _bordered(rows, corners, zero=ZERO) -> list:
-    """The square rows as the middle block of the [e, base..., ebar] layout.
+def _bordered(rows, corners) -> list:
+    """The square int rows as the middle block of the [e, base..., ebar]
+    layout.
 
     corners ((a, b), (c, d)) are the entries at (e, e), (e, ebar),
     (ebar, e) and (ebar, ebar); the rest of the border is zero.
     """
     (a, b), (c, d) = corners
-    pad = [zero] * len(rows)
-    return [[a, *pad, b], *([zero, *row, zero] for row in rows), [c, *pad, d]]
-
-
-def _middle_block(m: Matrix) -> Matrix:
-    """The base block of a matrix in the [e, base..., ebar] layout."""
-    return Matrix.from_rows([row[1:-1] for row in m.entries[1:-1]])
+    pad = [0] * len(rows)
+    return [[a, *pad, b], *([0, *row, 0] for row in rows), [c, *pad, d]]
 
 
 def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
@@ -260,8 +273,8 @@ def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebr
     """
     n = base.dim
     bden, brows = base.algebra.bracket_tensor.integral
-    wden, gram = base.form.integral
-    w = [dense(r, n) for r in gram]
+    wden, _ = base.form.integral
+    w = base.form.int_rows
     # sym_w[p][q] = den wden omega_B((xi + xi*)(e_p), e_q), b0_w[p] = den wden omega_B(b0, e_p)
     sym_w = int_matmul(list(zip(*([a + b for a, b in zip(row, row[n:2 * n])]
                                   for row in rows))), w)
@@ -277,8 +290,8 @@ def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebr
                                       for k, row in enumerate(rows)))
     names = tuple(f"e{k + 1}" for k in range(n + 2))
     algebra = LieAlgebra.from_integral(names, bden * dw, brackets)
-    form = Matrix.from_rows(_bordered(base.form.matrix.entries, ((ZERO, ONE), (-ONE, ZERO))))
-    return SymplecticLieAlgebra(algebra, SkewForm(form))
+    form = SkewForm.from_integral(wden, _bordered(w, ((0, wden), (-wden, 0))))
+    return SymplecticLieAlgebra(algebra, form)
 
 
 def double_extend(base: SymplecticLieAlgebra,
@@ -309,7 +322,9 @@ class ReductionStep:
 
     transform columns are [e, base-complement..., ebar] in the original
     coordinates; rewriting the input in that basis reproduces
-    double_extend(base, pair) entry for entry.
+    double_extend(base, pair) entry for entry.  transform and [xi | b0]
+    are also kept as the int rows (den, rows) the split computed them as,
+    for the tower conjugations of :func:`tower_pairs`.
     """
 
     base: SymplecticLieAlgebra
@@ -317,6 +332,8 @@ class ReductionStep:
     e: Vec
     ebar: Vec
     transform: Matrix
+    transform_integral: tuple = field(compare=False, repr=False)
+    pair_integral: tuple = field(compare=False, repr=False)
 
 
 def inverse_double_extend(s: SymplecticLieAlgebra,
@@ -325,10 +342,13 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
 
     e may pick the central direction to split along; by default the
     first vector of the canonical center basis is used.  s must be a
-    valid symplectic Lie algebra.  The recovered (base, pair) is checked
-    to be admissible and to rebuild the input exactly (in the adapted
-    basis); as the base is the middle block, that one comparison
-    certifies the split.  TestConstructionTheorem in
+    valid symplectic Lie algebra.  The split runs over int numerators:
+    e, ebar, the perp basis and the change of basis T, the adapted
+    algebra and its form T^T W T, and the base as their middle blocks.
+    The pair is read off the adapted omega-brackets (see the module
+    docstring) and checked to be admissible and to rebuild the input
+    exactly (in the adapted basis); as the base is the middle block, that
+    one comparison certifies the split.  TestConstructionTheorem in
     tests/test_extension.py proves each step of the catalog's towers.
     """
     if s.dim == 0:
@@ -336,61 +356,85 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     if not s.is_flat:
         raise NotFlatError("only flat algebras split as double extensions")
     center = s.center
+    n2 = s.dim
+    n = n2 - 2
     if e is None:
         if center.dim == 0:
             raise TrivialCenterError("center is zero")
-        e = center.columns()[0]
+        # the first reduced column echelon basis vector, its pivot entry 1
+        col = center.integral[0]
+        eden, es = col[0][1], dense(col, n2)
+        e = tuple(rational(x, eden) if x else ZERO for x in es)
     else:
         e = vector(e)
         if all(not x for x in e):
             raise ValueError("e must be nonzero")
         if not center.contains(e):
             raise ValueError("e must be central")
+        eden, es = integral(e)
 
-    n2 = s.dim
-    n = n2 - 2
-    omega = s.form
-    # ebar: any solution of omega(e, x) = 1 with free coordinates zero
-    row = omega.matrix.transpose().apply(e)
-    ebar = solve(Matrix.from_rows([row]), (ONE,))
-    line = Subspace.span(n2, [e, ebar])
-    base_cols = perp(s, line).columns()
+    # omega(e, e_k) = r_k / (eden wden), and ebar = e_c / omega(e, e_c) at
+    # the first c where it is nonzero
+    wden, _ = s.form.integral
+    gram = s.form.int_rows
+    r = accumulate([0] * n2, es, gram)
+    c = next(k for k, x in enumerate(r) if x)
+    fnum, fden = (eden * wden, r[c]) if r[c] > 0 else (-eden * wden, -r[c])
+    ebar = tuple(rational(fnum, fden) if k == c else ZERO for k in range(n2))
+    # the perp of the line: omega(x, e) = 0 and omega(x, ebar) = 0, which
+    # are the rows r (up to sign, omega being skew) and gram[c]
+    base_cols = kernel(Matrix(2, n2, (tuple(r), tuple(gram[c])))).integral
     if len(base_cols) != n:
         raise ExtensionInvariantError("hyperbolic pair has degenerate span")
-    t = Matrix.from_cols([e] + base_cols + [ebar])
+    # T = trows / tden, its columns e, the perp basis and ebar
+    cols = ([(eden, es)] + [(b[0][1], dense(b, n2)) for b in base_cols]
+            + [(fden, [fnum if k == c else 0 for k in range(n2)])])
+    tden = lcm(*(d for d, _ in cols))
+    trows = list(zip(*([x * (tden // d) for x in v] for d, v in cols)))
     names = tuple(f"e{k + 1}" for k in range(n2))
-    adapted = change_of_basis(s, t, names)
+    adapted = int_change_of_basis(s, tden, trows, names)
 
-    # base form is the middle block; the corners are fixed by construction
-    base_form = SkewForm(_middle_block(adapted.form.matrix))
-    # the base bracket is the middle block of the adapted one, numerators kept
+    # the base is the middle block of the adapted bracket and form
     aden, arows = adapted.algebra.bracket_tensor.integral
-    base_names = tuple(f"b{k + 1}" for k in range(n))
-    base = SymplecticLieAlgebra(LieAlgebra.from_integral(base_names, aden, {
-        (p, q): tuple((k - 1, x) for k, x in arows[1 + p][1 + q] if 0 < k <= n)
-        for p in range(n) for q in range(p + 1, n)}), base_form)
+    gden, agram_rows = adapted.form.integral
+    agram = adapted.form.int_rows
+    base = SymplecticLieAlgebra(
+        LieAlgebra.from_integral(tuple(f"b{k + 1}" for k in range(n)), aden, {
+            (p, q): tuple((k - 1, x) for k, x in arows[1 + p][1 + q] if 0 < k <= n)
+            for p in range(n) for q in range(p + 1, n)}),
+        SkewForm.from_integral(gden, [row[1:-1] for row in agram[1:-1]]))
     if not base.is_flat:
         raise ExtensionInvariantError("split produced a non-flat base")
 
-    # omega_B(xi(a), b) is the e-coefficient of a o b
-    p_ad = adapted.canonical_product
-    xi_cols = []
-    for p in range(n):
-        phi = [p_ad.table[1 + p][1 + q][0] for q in range(n)]
-        xi_cols.append(base_form.dual_of_covector(phi))
-    xi = Matrix.from_cols(xi_cols) if xi_cols else Matrix.zeros(0, 0)
-    b0 = tuple(Q(3) * x for x in p_ad.table[n + 1][n + 1][1:1 + n])
-    pair = AdmissiblePair(xi, b0)
+    # times cden = aden gden: at[p] = omega([b_p, ebar], .) and
+    # phi[q][p] = 3 omega_B(xi(b_p), b_q) = omega([b_p, b_q], ebar) + at[p][b_q]
+    cden = aden * gden
+    at = [int_sum(((x, agram_rows[k]) for k, x in arows[1 + p][n + 1]), n2) for p in range(n)]
+    phi = [[sum(x * agram[k][n + 1] for k, x in arows[1 + p][1 + q]) + at[p][1 + q]
+            for p in range(n)] for q in range(n)]
+    # xi(b_p) and b0 are the omega_B-duals x = -W_B^-1 y of phi[.][p] and
+    # of omega_B(b0, b_q) = omega([ebar, b_q], ebar) = -at[q][ebar]
+    iden, inv = base.form.int_inverse
+    xden, xs = 3 * cden * iden, [[-x for x in row] for row in int_matmul(inv, phi)]
+    bden, bs = cden * iden, [sum(a * at[q][n + 1] for q, a in enumerate(row)) for row in inv]
 
-    try:
-        rebuilt = double_extend(base, pair)
-    except NotAdmissibleError as exc:
-        raise ExtensionInvariantError(
-            "recovered pair is not admissible; failed: "
-            + ", ".join(exc.report.failed_names())) from exc
+    den, rows = _int_pair_rows(base, xden, xs, bden, bs)
+    report = _admissibility(base, den, rows)
+    if not report.admissible:
+        raise ExtensionInvariantError("recovered pair is not admissible; failed: "
+                                      + ", ".join(report.failed_names()))
+    rebuilt = _assemble(base, den, rows)
     if (rebuilt.algebra, rebuilt.form) != (adapted.algebra, adapted.form):
         raise ExtensionInvariantError("rebuilt extension differs from input")
-    return ReductionStep(base=base, pair=pair, e=vector(e), ebar=ebar, transform=t)
+    pair = AdmissiblePair(rational_matrix(xden, xs),
+                          tuple(rational(b, bden) if b else ZERO for b in bs))
+    pden = lcm(xden, bden)
+    return ReductionStep(base=base, pair=pair, e=e, ebar=ebar,
+                         transform=rational_matrix(tden, trows),
+                         transform_integral=(tden, trows),
+                         pair_integral=(pden, [[x * (pden // xden) for x in row]
+                                               + [b * (pden // bden)]
+                                               for row, b in zip(xs, bs)]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +540,14 @@ def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
         m = len(w)
         # w^-1 xi w and w^-1 b0, with w^-1 = wden * inv / iden and xi = X / xden
         iden, inv = int_inverse(w)
-        xden, rows = int_matrix(step.pair.xi.hstack(Matrix.from_cols([step.pair.b0])))
+        xden, rows = step.pair_integral
         conj = int_matmul(inv, rows)
         xi = rational_matrix(iden * xden, int_matmul([row[:m] for row in conj], w))
         b0 = tuple(rational(wden * row[m], iden * xden) for row in conj)
         pairs.append(AdmissiblePair(xi, b0))
         # w becomes transform @ diag(1, w, 1) in the [e, base..., ebar] layout
-        tden, trows = int_matrix(step.transform)
-        w = int_matmul(trows, _bordered(w, ((wden, 0), (0, wden)), 0))
+        tden, trows = step.transform_integral
+        w = int_matmul(trows, _bordered(w, ((wden, 0), (0, wden))))
         wden *= tden
     return pairs, rational_matrix(wden, w)
 

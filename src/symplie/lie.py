@@ -237,20 +237,26 @@ class LieAlgebra:
     # -- transport ---------------------------------------------------------------
 
     def change_of_basis(self, t: Matrix, names: Sequence[str] | None = None) -> "LieAlgebra":
-        """Structure constants in the basis given by the columns of t.
+        """Structure constants in the basis given by the columns of t,
+        through :meth:`int_change_of_basis` on the numerators of t."""
+        if t.shape != (self.dim, self.dim):
+            raise ValueError("change of basis matrix has wrong shape")
+        return self.int_change_of_basis(*int_matrix(t), names)
+
+    def int_change_of_basis(self, tden: int, trows,
+                            names: Sequence[str] | None = None) -> "LieAlgebra":
+        """change_of_basis for t = trows / tden, given as square int rows.
 
         Each new bracket T^-1 [T_i, T_j] is one :func:`int_product` over
-        the bracket's integral rows and the numerators of T's columns; all
-        of them are then combined by the int rows of T^-1 from one
+        the bracket's integral rows and the columns of trows; all of them
+        are then combined by the int rows of trows^-1 from one
         elimination, and the result is built by :meth:`from_integral`.
         """
         n = self.dim
-        if t.shape != (n, n):
-            raise ValueError("change of basis matrix has wrong shape")
-        vden, tinv = int_inverse(t.entries)
-        tden, trows = int_matrix(t)
+        vden, tinv = int_inverse(trows)
         bden, rows = self.bracket_tensor.integral
-        den = vden * tden * tden * bden
+        # T^-1 [T_i, T_j] = trows^-1 [trows_i, trows_j] / tden
+        den = vden * tden * bden
         names = tuple(f"y{k + 1}" for k in range(n)) if names is None else names
         cols = [sparse(c) for c in zip(*trows)]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
@@ -59,17 +60,57 @@ class FlatnessInvariantError(SymplieError):
 # ---------------------------------------------------------------------------
 # skew forms
 
-@dataclass(frozen=True)
 class SkewForm:
-    matrix: Matrix
+    """A bilinear form by its Gram matrix W, W[i][j] = omega(e_i, e_j).
 
-    def __post_init__(self):
-        if not self.matrix.is_square:
+    Its state is :attr:`integral` = (den, rows): rows[k] lists the nonzero
+    (w, num) of row k of W as ints over the one denominator den > 0, with
+    no factor common to den and every num.  That form is unique, so two
+    forms are equal exactly when their Gram matrices are.  The scalar
+    :attr:`matrix` is kept when the form is built from it and derived on
+    first read when it is built by :meth:`from_integral`.
+    """
+
+    def __init__(self, matrix: Matrix):
+        """The form with Gram matrix matrix, converted to ints once."""
+        if not matrix.is_square:
             raise ValueError("form matrix must be square")
+        den, rows = int_matrix(matrix)
+        self.integral = (den, tuple(map(sparse, rows)))
+        self.matrix = matrix
+
+    @classmethod
+    def from_integral(cls, den: int, rows) -> "SkewForm":
+        """The form with Gram matrix rows / den, for den > 0 and square int
+        rows, divided by their one gcd so that :attr:`integral` is
+        canonical.  No scalar is built."""
+        g = gcd(den, *(x for row in rows for x in row))
+        out = cls.__new__(cls)
+        out.integral = (den // g, tuple(sparse([x // g for x in row]) for row in rows))
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SkewForm) and self.integral == other.integral
+
+    def __hash__(self) -> int:
+        return hash(self.integral)
+
+    def __repr__(self) -> str:
+        return f"SkewForm({self.matrix!r})"
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
+        return len(self.integral[1])
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """W as scalars, each numerator of :attr:`integral` converted once."""
+        return rational_matrix(self.integral[0], self.int_rows)
+
+    @cached_property
+    def int_rows(self) -> list:
+        """The numerator rows of :attr:`integral` as dense int lists."""
+        return [dense(r, self.dim) for r in self.integral[1]]
 
     def pair(self, u: Sequence, v: Sequence):
         return vdot(vector(u), self.matrix.apply(vector(v)))
@@ -79,27 +120,22 @@ class SkewForm:
         return tuple(accumulate([ZERO] * self.dim, vector(u), self.matrix.entries))
 
     def is_skew(self) -> bool:
-        m = self.matrix
-        return all(m.entry(i, j) == -m.entry(j, i)
-                   for i in range(m.rows) for j in range(i, m.cols))
+        w = self.int_rows
+        return all(w[i][j] == -w[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def is_nondegenerate(self) -> bool:
-        return rank(self.matrix) == self.dim
-
-    @cached_property
-    def integral(self) -> tuple:
-        """(den, rows): rows[k] = the nonzero (w, num) of row k of the
-        Gram matrix, as ints over the common denominator den."""
-        den, rows = int_matrix(self.matrix)
-        return den, [sparse(r) for r in rows]
+        return rank(Matrix(self.dim, self.dim, tuple(map(tuple, self.int_rows)))) == self.dim
 
     @cached_property
     def int_inverse(self) -> tuple:
-        """(den, rows): W^-1 as int rows over den, from one elimination."""
+        """(den, rows): W^-1 as int rows over den, from one elimination of
+        the numerators of W."""
+        wden = self.integral[0]
         try:
-            return int_inverse(self.matrix.entries)
+            iden, inv = int_inverse(self.int_rows)
         except SymplieError as exc:
             raise DegenerateFormError("form is degenerate") from exc
+        return iden, [[wden * x for x in row] for row in inv]
 
     @cached_property
     def inverse_matrix(self) -> Matrix:
@@ -118,11 +154,8 @@ class SkewForm:
         """(den, rows*): f* = W^-1 f^T W as int rows over den, for the
         endomorphism f given by int rows, from W's integral rows and the
         numerators of W^-1."""
-        n = self.dim
         iden, inv = self.int_inverse
-        wden, gram = self.integral
-        w = [dense(r, n) for r in gram]
-        return iden * wden, int_matmul(inv, int_matmul(list(zip(*rows)), w))
+        return iden * self.integral[0], int_matmul(inv, int_matmul(list(zip(*rows)), self.int_rows))
 
     def adjoint_map(self, f: Matrix) -> Matrix:
         """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W,
@@ -137,14 +170,13 @@ class SkewForm:
         """
         if f.shape != (self.dim, self.dim):
             raise ValueError("endomorphism shape mismatch")
-        last = self.__dict__.get("_last_adjoint")
+        last = getattr(self, "_last_adjoint", None)
         if last is not None and last[0] == f:
             return last[1]
         fden, rows = int_matrix(f)
         den, star = self.int_adjoint(rows)
         f_star = rational_matrix(den * fden, star)
-        # a frozen dataclass, so the cache goes straight into __dict__
-        self.__dict__["_last_adjoint"] = (f, f_star)
+        self._last_adjoint = (f, f_star)
         return f_star
 
 
@@ -744,16 +776,22 @@ def change_of_basis(s: SymplecticLieAlgebra, t: Matrix,
                     names: Sequence[str] | None = None) -> SymplecticLieAlgebra:
     """The same structure written in the basis given by the columns of t.
 
-    The new Gram matrix T^T W T is one int product of T's numerators and
-    the form's integral rows, each entry converted to a scalar once.  The
-    result is valid whenever s is and t is invertible, so it is not
+    The result is valid whenever s is and t is invertible, so it is not
     validated again; a singular t raises SingularMatrixError.
     """
-    new_alg = s.algebra.change_of_basis(t, names)
-    n = s.dim
-    tden, trows = int_matrix(t)
-    wden, gram = s.form.integral
-    wt = int_matmul([dense(r, n) for r in gram], trows)
-    new_form = SkewForm(rational_matrix(wden * tden * tden,
-                                        int_matmul(list(zip(*trows)), wt)))
-    return SymplecticLieAlgebra(new_alg, new_form)
+    if t.shape != (s.dim, s.dim):
+        raise ValueError("change of basis matrix has wrong shape")
+    return int_change_of_basis(s, *int_matrix(t), names)
+
+
+def int_change_of_basis(s: SymplecticLieAlgebra, tden: int, trows,
+                        names: Sequence[str] | None = None) -> SymplecticLieAlgebra:
+    """:func:`change_of_basis` for t = trows / tden, given as square int
+    rows: the bracket by :meth:`LieAlgebra.int_change_of_basis` and the
+    Gram matrix T^T W T as one int product over wden tden^2, kept as
+    numerators by :meth:`SkewForm.from_integral`."""
+    wden, _ = s.form.integral
+    tw = int_matmul(list(zip(*trows)), s.form.int_rows)
+    return SymplecticLieAlgebra(s.algebra.int_change_of_basis(tden, trows, names),
+                                SkewForm.from_integral(wden * tden * tden,
+                                                       int_matmul(tw, trows)))

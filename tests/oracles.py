@@ -22,12 +22,16 @@ assembly of a double extension, and the ``rational_*`` canonical product
 and change of basis build each cell from int numerators with
 rationals.rational, as the library did before those producers kept their
 numerators through ProductTensor.from_integral.
+``fraction_inverse_double_extend`` is the scalar split: ebar from solve, T
+from scalar columns, and the pair read off the adapted algebra's whole
+canonical product through dual_of_covector, as the library did before the
+split recovered the pair from two slices of the adapted omega-brackets.
 """
 
 import sympy
 
 from symplie.extension import (AdmissibilityReport, AdmissiblePair,
-                               EquationCheck, NotFlatError)
+                               EquationCheck, NotFlatError, ReductionStep)
 from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
                          LowerCentralSeries)
 from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
@@ -268,12 +272,17 @@ def reference_right_form_vanishes(p: ProductTensor) -> bool:
                for i in range(n) for j in range(n))
 
 
-def reference_flatness(s, a: tuple) -> FlatnessChecks:
-    """The three criteria and the witness from their dense formulations;
-    a = reference_associators(s.canonical_product)."""
-    p = s.canonical_product
-    residuals = curvature_residuals(p, s.algebra)
-    witness = next((pair for pair, m in residuals.items() if not m.is_zero()), None)
+def reference_curvature_witness(p: ProductTensor, algebra):
+    """The first pair (i, j) whose dense curvature residual matrix is
+    nonzero, or None."""
+    residuals = curvature_residuals(p, algebra)
+    return next((pair for pair, m in residuals.items() if not m.is_zero()), None)
+
+
+def reference_flatness(p: ProductTensor, witness, a: tuple) -> FlatnessChecks:
+    """The three criteria and the witness from their dense formulations,
+    for the canonical product p; witness = reference_curvature_witness(p,
+    algebra) and a = reference_associators(p)."""
     return FlatnessChecks(witness is None, reference_right_form_vanishes(p),
                           not reference_left_symmetry_violations(a), witness)
 
@@ -661,3 +670,41 @@ def rational_lie_change_of_basis(algebra, t: Matrix, names=None) -> LieAlgebra:
     return LieAlgebra.from_sparse(names, {
         pair: {k: rational(x, den) for k, x in enumerate(row) if x}
         for pair, row in zip(pairs, new)})
+
+
+# ---------------------------------------------------------------------------
+# the scalar split
+
+def fraction_inverse_double_extend(s, e=None) -> ReductionStep:
+    """The split of a flat s along e (by default the first vector of the
+    reference center basis) with scalar columns throughout.
+
+    ebar solves omega(e, x) = 1 with its free coordinates zero, the base
+    complement is the scalar column basis of the perp of span(e, ebar),
+    and the adapted algebra comes from the dense change of basis.  The
+    e-coefficient of b_p o b_q in the adapted canonical product is
+    omega_B(xi(b_p), b_q), so column p of xi is the dual of that covector,
+    and b0 is 3 (ebar o ebar) in base coordinates.  No check is made; the
+    int rows of the returned step are int_matrix of its scalars.
+    """
+    n2 = s.dim
+    n = n2 - 2
+    e = reference_center(s.algebra).columns()[0] if e is None else vector(e)
+    ebar = solve(Matrix.from_rows([s.form.matrix.transpose().apply(e)]), (ONE,))
+    base_cols = perp(s, Subspace.span(n2, [e, ebar])).columns()
+    t = Matrix.from_cols([e] + base_cols + [ebar])
+    adapted = fraction_change_of_basis(s, t, tuple(f"e{k + 1}" for k in range(n2)))
+    table = adapted.algebra.table
+    base = SymplecticLieAlgebra(
+        LieAlgebra.from_sparse(tuple(f"b{k + 1}" for k in range(n)), {
+            (p, q): {k - 1: c for k, c in enumerate(table[1 + p][1 + q]) if 0 < k <= n and c}
+            for p in range(n) for q in range(p + 1, n)}),
+        SkewForm(Matrix.from_rows([row[1:-1] for row in adapted.form.matrix.entries[1:-1]])))
+    product = fraction_canonical_product(adapted.algebra, adapted.form).table
+    xi_cols = [base.form.dual_of_covector([product[1 + p][1 + q][0] for q in range(n)])
+               for p in range(n)]
+    xi = Matrix.from_cols(xi_cols) if xi_cols else Matrix.zeros(0, 0)
+    b0 = tuple(3 * x for x in product[n + 1][n + 1][1:1 + n])
+    return ReductionStep(base=base, pair=AdmissiblePair(xi, b0), e=e, ebar=ebar,
+                         transform=t, transform_integral=int_matrix(t),
+                         pair_integral=int_matrix(xi.hstack(Matrix.from_cols([b0]))))

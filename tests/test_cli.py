@@ -251,6 +251,14 @@ class TestReduce:
         assert rc == 1
         assert "center dimension 4" in err
 
+    @pytest.mark.parametrize("index", ["-1", "-4", "4"])
+    def test_center_index_out_of_range(self, capsys, index):
+        rc, out, err = run(capsys, "reduce", "--catalog", "r3_h3", "--center-index", index)
+        assert rc == 1
+        assert out == ""
+        assert f"--center-index {index} is out of range" in err
+        assert "the center dimension 4 allows 0..3" in err
+
     def test_non_flat_input(self, capsys):
         rc, _, err = run(capsys, "reduce", "--catalog", "aff1")
         assert rc == 2

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import References
 from oracles import (fraction_associators, fraction_canonical_product,
-                     fraction_first_curvature_violation, fraction_symplectic_violations,
-                     fraction_validate)
+                     fraction_first_curvature_violation, fraction_validate)
 from symplie import catalog
 from symplie.catalog import admissible_family, family_names, family_parameter_grid
 from symplie.extension import build_extension_candidate
@@ -47,30 +47,28 @@ def assert_integral_exact(p: ProductTensor, label=None):
                 assert rational(num, den) == p.table[a][m][k], label
 
 
-def assert_validation_matches(algebra, form, label):
+def assert_validation_matches(algebra, form, label, ref=None):
     """validate() and symplectic_violations() equal their references."""
+    ref = ref or References(SymplecticLieAlgebra(algebra, form))
     alg, frm = fresh_parts(algebra, form)
-    ref_alg, ref_form = fresh_parts(algebra, form)
-    assert alg.validate() == fraction_validate(ref_alg), label
-    assert (symplectic_violations(alg, frm)
-            == fraction_symplectic_violations(ref_alg, ref_form)), label
+    assert alg.validate() == ref.validate, label
+    assert symplectic_violations(alg, frm) == ref.violations, label
     assert_integral_exact(alg.bracket_tensor, label)
 
 
-def assert_kernel_matches(s, label) -> bool:
+def assert_kernel_matches(s, label, ref=None) -> bool:
     """Every integer loop on a symplectic algebra equals its reference;
     returns whether it is flat."""
-    assert_validation_matches(s.algebra, s.form, label)
+    ref = ref or References(s)
+    assert_validation_matches(s.algebra, s.form, label, ref)
     fresh = SymplecticLieAlgebra(*fresh_parts(s.algebra, s.form))
-    ref_alg, ref_form = fresh_parts(s.algebra, s.form)
     p = fresh.canonical_product
-    ref_p = fraction_canonical_product(ref_alg, ref_form)
-    assert p.table == ref_p.table, label
+    assert p.table == ref.product.table, label
     assert_integral_exact(p, label)
-    witness = fraction_first_curvature_violation(ref_p, ref_alg.table)
+    witness = ref.fraction_witness
     assert fresh.curvature_witness == witness, label
-    assert first_curvature_violation(ref_p, ref_alg.table) == witness, label
-    assert p.associators == fraction_associators(ref_p), label
+    assert first_curvature_violation(ref.product, ref.parts[0].table) == witness, label
+    assert p.associators == ref.fraction_associators, label
     return witness is None
 
 
@@ -122,11 +120,11 @@ def test_every_catalog_entry(entries):
     assert aff1.curvature_witness == (0, 1)
 
 
-def test_every_sweep_extension(family_sweep):
+def test_every_sweep_extension(family_sweep, sweep_references):
     count = 0
     for fam, points in family_sweep.items():
-        for params, _, ext, _ in points:
-            assert assert_kernel_matches(ext, (fam, params))
+        for (params, _, ext, _), ref in zip(points, sweep_references[fam], strict=True):
+            assert assert_kernel_matches(ext, (fam, params), ref)
             count += 1
     assert count == 439
 
@@ -145,12 +143,13 @@ def test_perturbed_candidates_not_symplectic():
         assert_validation_matches(algebra, form, label)
 
 
-def test_dense_bases(entries):
+def test_dense_bases(entries, dense_references):
     moved = dense_bases(entries)
     assert len(moved) == 36
     dens = set()
     for label, s in moved:
-        assert assert_kernel_matches(s, label) == (not label.startswith("aff1"))
+        assert (assert_kernel_matches(s, label, dense_references[label])
+                == (not label.startswith("aff1")))
         dens.add(SymplecticLieAlgebra(s.algebra, s.form).canonical_product.integral[0])
     assert max(dens) > 1
 

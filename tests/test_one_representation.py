@@ -1,8 +1,8 @@
 """Int numerators as the only state of tensors, algebras and subspaces.
 
-ProductTensor, LieAlgebra and Subspace keep int numerators in a canonical
-form, and their scalar views (``table``, ``basis``) are derived on first
-read.  Equality and hashing compare the canonical form, so they agree
+ProductTensor, LieAlgebra, Subspace and SkewForm keep int numerators in a
+canonical form, and their scalar views (``table``, ``basis``, ``matrix``)
+are derived on first read.  Equality and hashing compare the canonical form, so they agree
 across every construction route.  The int Lie-admissibility check is
 compared with the scalar loop it replaced (oracles.py), and a change of
 basis, which is not validated on each call, is shown valid here.
@@ -121,6 +121,27 @@ def test_subspace_scalar_route_checks_the_echelon_form():
             Subspace(2, basis)
 
 
+square_int_rows = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_int_rows, st.integers(1, 12), st.integers(1, 5))
+def test_form_routes_agree(rows, den, k):
+    """A form built from numerators equals the one built from its scalar
+    Gram matrix, also when den and the numerators share a factor."""
+    n = len(rows)
+    f = SkewForm.from_integral(den, rows)
+    g = SkewForm(Matrix(n, n, tuple(tuple(Q(x, den) for x in row) for row in rows)))
+    assert_same_value(f, g)
+    assert_same_value(f, SkewForm.from_integral(k * den, [[k * x for x in row] for row in rows]))
+    assert f.dim == n and f.matrix == g.matrix and f.int_rows == g.int_rows
+    assert f.is_skew() == g.is_skew() and f.is_nondegenerate() == g.is_nondegenerate()
+    if any(map(any, rows)):
+        other = SkewForm.from_integral(den + 1, rows)
+        assert other != f and other.matrix != f.matrix
+
+
 # ---------------------------------------------------------------------------
 # scalar views are derived only when read
 
@@ -136,6 +157,7 @@ def test_int_constructors_build_no_scalar_and_no_matrix(monkeypatch):
     assert Subspace.span(3, [[2, 4, 0], [1, 2, 0], [0, 0, 5]]).integral \
         == (((0, 1), (1, 2)), ((2, 1),))
     assert LieAlgebra.from_integral(("a", "b"), 4, {(0, 1): ((1, 2),)}).dim == 2
+    assert SkewForm.from_integral(2, [[0, 4], [-4, 0]]).integral == (1, (((1, 2),), ((0, -2),)))
 
 
 def test_extension_and_classification_build_no_scalar_views(entries):
@@ -150,9 +172,11 @@ def test_extension_and_classification_build_no_scalar_views(entries):
     subspaces = [alg.center(), alg.derived_subspace(), *alg.lower_central_series().terms,
                  *alg.derived_series().terms]
     assert "table" not in alg.bracket_tensor.__dict__
+    assert "matrix" not in ext.form.__dict__
     assert not any("basis" in f.__dict__ for f in subspaces)
     # a view is derived once, on its first read
     assert alg.table is alg.bracket_tensor.table
+    assert ext.form.matrix is ext.form.matrix
     assert all(f.basis is f.basis for f in subspaces)
 
 
