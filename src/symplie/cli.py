@@ -4,13 +4,17 @@ Exit codes: 0 on success, 1 for input or validation problems (bad
 documents, bad parameters, broken symplectic axioms), 2 when the input
 is well formed but a mathematical check fails (not flat, pair not
 admissible, class unknown), 3 when an internal invariant of the library
-fails (a bug; the message starts with "internal error:").
+fails (a bug; the message starts with "internal error:"), and 141 (128 +
+SIGPIPE, as a shell reports a writer stopped by a closed pipe) when
+standard output is closed before the command has written everything, for
+instance under ``| head -1``; nothing more is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +37,8 @@ _INPUT_ERRORS = (DocumentError, InvalidSymplecticError, InvalidLieAlgebraError,
                  ValueError, OSError)
 _CHECK_ERRORS = (NotFlatError, NotAdmissibleError, TrivialCenterError,
                  NotAnIdealError)
+# exit code when the reader closes standard output early
+_CLOSED_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -328,7 +334,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        rc = args.func(args)
+        # a closed pipe shows here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # BrokenPipeError is an OSError, so it is caught before the input
+        # errors; what is still buffered goes to the null device
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return _CLOSED_PIPE
     except _CHECK_ERRORS as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2

@@ -11,23 +11,30 @@ An algebra document looks like
       "meta": {"name": "r_h3_dim4"}
     }
 
-All coefficients are exact rational strings.  Serialization is
-canonical: bracket and omega entries are sorted by basis index with
-u before v, zero entries are dropped, and the writer always produces
-two-space indented JSON with a trailing newline, so documents written
-by this module round-trip byte for byte.
+All coefficients are exact rational strings.  Reading an algebra
+document builds no scalar: each literal becomes the (num, den) ints of
+:func:`rationals.parse_literal`, the bracket's and omega's literals are
+each put over one common denominator, and the numerators go to
+:meth:`LieAlgebra.from_integral` and :meth:`SkewForm.from_integral`.  A
+pair document's xi and b0 are read as scalars.
+
+Serialization is canonical: bracket and omega entries are sorted by
+basis index with u before v, zero entries are dropped, and the writer
+always produces two-space indented JSON with a trailing newline, so
+documents written by this module round-trip byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import SymplieError
 from .extension import AdmissiblePair
 from .lie import LieAlgebra
 from .linalg import Matrix
-from .rationals import RationalSyntaxError, parse_rational, qstr, rational
+from .rationals import RationalSyntaxError, parse_literal, qstr, rational
 from .symplectic import (SkewForm, SymplecticLieAlgebra, validate_symplectic)
 
 
@@ -56,13 +63,21 @@ def _require_dict(obj, path: str, allowed: set, required: set) -> dict:
     return obj
 
 
-def _parse_coeff(text, path: str):
+def _literal(text, path: str) -> tuple:
+    """The (num, den) ints of a rational string, by :func:`parse_literal`."""
     if not isinstance(text, str):
         _fail(path, f"expected a rational string, got {type(text).__name__}")
     try:
-        return parse_rational(text)
+        return parse_literal(text)
     except RationalSyntaxError as exc:
         _fail(path, str(exc))
+
+
+def _over_lcm(literals) -> tuple:
+    """(den, nums): the (num, den) literals as numerators over the lcm of
+    their denominators."""
+    den = lcm(1, *(d for _, d in literals))
+    return den, [x * (den // d) for x, d in literals]
 
 
 # ---------------------------------------------------------------------------
@@ -124,43 +139,47 @@ def document_to_parts(doc) -> tuple:
 
     if not isinstance(doc["brackets"], list):
         _fail("brackets", "expected a list")
-    sparse = {}
+    # bracket (i, j) -> its nonzero (k, (num, den)), k increasing
+    cells = {}
     for pos, item in enumerate(doc["brackets"]):
         path = f"brackets[{pos}]"
         i, j = edge(item, path)
-        if (i, j) in sparse:
+        if (i, j) in cells:
             _fail(path, f"duplicate bracket for ({item['u']}, {item['v']})")
         value = item["value"]
         if not isinstance(value, dict):
             _fail(f"{path}.value", "expected an object of coefficients")
-        coeffs = {}
+        cell = []
         for name, text in value.items():
             if name not in index:
                 _fail(f"{path}.value.{name}", "unknown basis name")
-            c = _parse_coeff(text, f"{path}.value.{name}")
-            if c:
-                coeffs[index[name]] = c
-        sparse[(i, j)] = coeffs
+            c = _literal(text, f"{path}.value.{name}")
+            if c[0]:
+                cell.append((index[name], c))
+        cells[(i, j)] = sorted(cell)
 
     if not isinstance(doc["omega"], list):
         _fail("omega", "expected a list")
-    entries = [list(row) for row in Matrix.zeros(dim, dim).entries]
-    seen = set()
+    omega = {}
     for pos, item in enumerate(doc["omega"]):
         path = f"omega[{pos}]"
         i, j = edge(item, path)
-        if (i, j) in seen:
+        if (i, j) in omega:
             _fail(path, f"duplicate omega entry for ({item['u']}, {item['v']})")
-        seen.add((i, j))
-        c = _parse_coeff(item["value"], f"{path}.value")
-        entries[i][j] = c
-        entries[j][i] = -c
-    form = SkewForm(Matrix.from_rows(entries))
+        omega[(i, j)] = _literal(item["value"], f"{path}.value")
 
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         _fail("meta", "expected an object")
-    return LieAlgebra.from_sparse(tuple(basis), sparse), form, dict(meta)
+    bden, nums = _over_lcm([c for cell in cells.values() for _, c in cell])
+    it = iter(nums)
+    algebra = LieAlgebra.from_integral(basis, bden, {
+        ij: tuple((k, next(it)) for k, _ in cell) for ij, cell in cells.items()})
+    wden, nums = _over_lcm(omega.values())
+    gram = [[0] * dim for _ in range(dim)]
+    for (i, j), x in zip(omega, nums):
+        gram[i][j], gram[j][i] = x, -x
+    return algebra, SkewForm.from_integral(wden, gram), dict(meta)
 
 
 def document_to_algebra(doc) -> tuple:
@@ -195,12 +214,12 @@ def document_to_pair(doc) -> AdmissiblePair:
     for r, row in enumerate(xi):
         if not isinstance(row, list) or len(row) != n:
             _fail(f"xi[{r}]", f"expected {n} entries")
-        rows.append([_parse_coeff(x, f"xi[{r}][{c}]")
+        rows.append([rational(*_literal(x, f"xi[{r}][{c}]"))
                      for c, x in enumerate(row)])
     b0 = doc["b0"]
     if not isinstance(b0, list) or len(b0) != n:
         _fail("b0", f"expected {n} entries")
-    vec = [_parse_coeff(x, f"b0[{k}]") for k, x in enumerate(b0)]
+    vec = [rational(*_literal(x, f"b0[{k}]")) for k, x in enumerate(b0)]
     return AdmissiblePair(Matrix.from_rows(rows) if n else Matrix.zeros(0, 0),
                           tuple(vec))
 

@@ -222,11 +222,16 @@ class LieAlgebra:
         return self.derived_series().solvable
 
     def trace_character(self) -> Vec:
-        """The covector u -> tr(ad_u), evaluated on the basis:
-        tr ad_{e_i} = sum_m [e_i, e_m]_m, read off the integral rows."""
+        """The covector u -> tr(ad_u), evaluated on the basis."""
+        den, t = self.int_trace_character()
+        return tuple(rational(x, den) for x in t)
+
+    def int_trace_character(self) -> tuple:
+        """(den, t): tr ad_{e_i} = t[i] / den, with t[i] = sum_m of the
+        numerator of [e_i, e_m]_m, read off the integral rows."""
         den, rows = self.bracket_tensor.integral
-        return tuple(rational(sum(c for m, cell in enumerate(row) for k, c in cell if k == m),
-                              den) for row in rows)
+        return den, [sum(c for m, cell in enumerate(row) for k, c in cell if k == m)
+                     for row in rows]
 
     def is_unimodular(self) -> bool:
         return is_zero_vector(self.trace_character())

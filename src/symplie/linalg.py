@@ -712,29 +712,37 @@ class ProductTensor:
         return self._operator(u, self.table)
 
     @cached_property
-    def associators(self) -> tuple:
-        """associators[i][j][k] = (e_i o e_j) o e_k - e_i o (e_j o e_k).
-
-        Each entry is one :func:`int_sum` over the rows of :attr:`integral`,
-        over den^2, each distinct numerator converted to a scalar once."""
+    def int_associators(self) -> tuple:
+        """int_associators[i][j][k] = den^2 ((e_i o e_j) o e_k - e_i o (e_j o e_k))
+        as a tuple of n ints, each one :func:`int_sum` over the rows of
+        :attr:`integral`.  :meth:`left_symmetry_violations` and
+        :meth:`is_associative` read it."""
         n = self.dim
-        den, rows = self.integral
-        q = cache(lambda x: rational(x, den * den))
+        _, rows = self.integral
         return tuple(tuple(tuple(
-            tuple(map(q, int_sum([(c, rows[a][k]) for a, c in rows[i][j]]
-                                 + [(-c, rows[i][b]) for b, c in rows[j][k]], n)))
+            tuple(int_sum([(c, rows[a][k]) for a, c in rows[i][j]]
+                          + [(-c, rows[i][b]) for b, c in rows[j][k]], n))
             for k in range(n)) for j in range(n)) for i in range(n))
+
+    @cached_property
+    def associators(self) -> tuple:
+        """associators[i][j][k] = (e_i o e_j) o e_k - e_i o (e_j o e_k) as
+        scalars: :attr:`int_associators` over den^2, each distinct numerator
+        converted once."""
+        den = self.integral[0]
+        q = cache(lambda x: rational(x, den * den))
+        return tuple(tuple(tuple(tuple(map(q, v)) for v in row) for row in plane)
+                     for plane in self.int_associators)
 
     def left_symmetry_violations(self) -> tuple:
         """Basis triples (i, j, k), i < j, where ass(i,j,k) != ass(j,i,k)."""
-        a = self.associators
+        a = self.int_associators
         n = self.dim
         return tuple((i, j, k) for i in range(n) for j in range(i + 1, n)
                      for k in range(n) if a[i][j][k] != a[j][i][k])
 
     def is_associative(self) -> bool:
-        return all(is_zero_vector(v) for plane in self.associators
-                   for row in plane for v in row)
+        return not any(any(v) for plane in self.int_associators for row in plane for v in row)
 
     def is_zero(self) -> bool:
         return not any(cell for row in self.integral[1] for cell in row)

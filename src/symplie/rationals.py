@@ -5,7 +5,10 @@ through :func:`as_q` or :func:`parse_rational`.
 
 Serialized rationals are strings ``"p"`` or ``"p/q"`` in lowest terms
 with a positive denominator and no whitespace; :func:`qstr` produces
-exactly that grammar and :func:`parse_rational` accepts nothing else.
+exactly that grammar.  :func:`parse_literal` is its one reader and
+accepts nothing else: it returns the (num, den) ints as written, which
+documents put over one denominator without building a scalar, and
+:func:`parse_rational` is that pair as a scalar.
 
 The hot loops run over Python ints: :func:`integral` writes a family of
 rationals as integer numerators over one common denominator, and
@@ -37,21 +40,26 @@ class RationalSyntaxError(SymplieError, ValueError):
     """A string did not match the serialization grammar for rationals."""
 
 
-def parse_rational(text: str):
-    """Parse ``"p"`` or ``"p/q"`` into an exact rational.
+def parse_literal(text: str) -> tuple:
+    """(num, den) for ``"p"`` or ``"p/q"``: the ints as written, so
+    text == num / den with den > 0 but not necessarily in lowest terms.
 
-    Denominators are normalized away, so non-lowest-terms input is
-    accepted; malformed strings (whitespace, decimals, empty, q = 0)
-    are rejected.
+    The one reader of the grammar: malformed strings (whitespace,
+    decimals, empty, q = 0) raise :class:`RationalSyntaxError`.
     """
     if not isinstance(text, str) or _RATIONAL.match(text) is None:
         raise RationalSyntaxError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise RationalSyntaxError(f"zero denominator: {text!r}")
-        return rational(int(num), int(den))
-    return Q(int(text))
+    num, _, den = text.partition("/")
+    den = int(den) if den else 1
+    if den == 0:
+        raise RationalSyntaxError(f"zero denominator: {text!r}")
+    return int(num), den
+
+
+def parse_rational(text: str):
+    """Parse ``"p"`` or ``"p/q"`` into an exact rational, through
+    :func:`parse_literal`; non-lowest-terms input is normalized."""
+    return rational(*parse_literal(text))
 
 
 def as_q(value):

@@ -31,10 +31,9 @@ from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
                      common_kernel, commutator, dense, int_inverse, int_matmul,
-                     int_matrix, int_product, int_sum, is_zero_vector, kernel, rank,
-                     rational_matrix, sparse, subspace_intersect, unit_vector,
-                     vdot, vector)
-from .rationals import ZERO
+                     int_matrix, int_product, int_sum, kernel, rational_matrix,
+                     sparse, subspace_intersect, unit_vector, vdot, vector)
+from .rationals import ZERO, rational
 
 
 class InvalidSymplecticError(SymplieError):
@@ -124,7 +123,13 @@ class SkewForm:
         return all(w[i][j] == -w[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def is_nondegenerate(self) -> bool:
-        return rank(Matrix(self.dim, self.dim, tuple(map(tuple, self.int_rows)))) == self.dim
+        """Read off :attr:`int_inverse`, so a form that is then inverted is
+        eliminated once."""
+        try:
+            self.int_inverse
+        except DegenerateFormError:
+            return False
+        return True
 
     @cached_property
     def int_inverse(self) -> tuple:
@@ -531,18 +536,21 @@ def _annihilated(covectors, x) -> bool:
     return not any(sum(a * b for a, b in zip(cov, x) if b) for cov in covectors)
 
 
-def _in_left_kernel(rows, x, n: int) -> bool:
-    """x o e_m = 0 for every m, for the int vector x."""
-    x = sparse(x)
-    return not any(any(int_product(rows, x, ((m, 1),), n)) for m in range(n))
-
-
 # ---------------------------------------------------------------------------
 # derived invariants of the canonical product
 
 def h_vector(s: SymplecticLieAlgebra) -> Vec:
     """The unique H with omega(H, u) = tr(ad_u); zero iff unimodular."""
-    return s.form.dual_of_covector(s.algebra.trace_character())
+    den, h = _int_h(s)
+    return tuple(rational(x, den) for x in h)
+
+
+def _int_h(s: SymplecticLieAlgebra) -> tuple:
+    """(den, h): H = h / den as ints.  omega(H, .) = -W H, so H = -W^-1 t
+    for the traces t, from W^-1's numerators and the trace numerators."""
+    iden, inv = s.form.int_inverse
+    tden, t = s.algebra.int_trace_character()
+    return iden * tden, [-sum(x * y for x, y in zip(row, t) if x) for row in inv]
 
 
 class MultiplicationKernels(NamedTuple):
@@ -666,7 +674,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     zperp = perp(s, center)
     kernels = multiplication_kernels(s)
     nl = kernels.left_kernel
-    h = h_vector(s)
+    _, h = _int_h(s)
     unimodular = alg.is_unimodular()
     lcs = alg.lower_central_series()
     abelian = derived.dim == 0
@@ -675,8 +683,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     # pden tr R_{e_i} = sum_m (e_m o e_i)_m and bden tr ad_{e_i} = sum_m [e_i, e_m]_m
     right_traces = [sum(c for m in range(n) for k, c in prows[m][i] if k == m)
                     for i in range(n)]
-    ad_traces = [sum(c for m in range(n) for k, c in brows[i][m] if k == m)
-                 for i in range(n)]
+    _, ad_traces = alg.int_trace_character()
 
     claims = []
 
@@ -733,7 +740,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     dmeet = subspace_intersect(derived, dperp)
     claim("flat_derived_degenerate", flat and not abelian, dmeet.dim > 0,
           f"dim([g,g] meet [g,g]-perp) = {dmeet.dim}")
-    claim("flat_h_vanishes", flat, is_zero_vector(h))
+    claim("flat_h_vanishes", flat, not any(h))
     claim("flat_h_in_derived_meet_perp", flat,
           flat and derived.contains(h) and dperp.contains(h))
     ok = flat and not any(any(int_product(prows, u, v, n))
@@ -745,11 +752,11 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
                           for u in dcols for x in ad_rows)
     claim("flat_derived_perp_ad_compose_zero", flat, ok)
     ncols = nl.integral
-    ok = flat and all(_in_left_kernel(prows, int_product(prows, e, v, n), n)
-                      and _in_left_kernel(prows, int_product(prows, v, e, n), n)
+    ok = flat and all(nl.contains(int_product(prows, e, v, n))
+                      and nl.contains(int_product(prows, v, e, n))
                       for e in units for v in ncols)
     claim("flat_left_kernel_two_sided_ideal", flat, ok)
-    ok = flat and all(_in_left_kernel(prows, int_product(brows, e, u, n), n)
+    ok = flat and all(nl.contains(int_product(brows, e, u, n))
                       for e in units for u in dcols)
     claim("flat_bracket_derived_perp_in_left_kernel", flat, ok)
     complete = not any(right_traces)
@@ -765,7 +772,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
         center_kind=_classify(center, zperp),
         derived_kind=_classify(derived, dperp),
         unimodular=unimodular,
-        h=h,
+        h=h_vector(s),
     )
 
 

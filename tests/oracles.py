@@ -26,10 +26,14 @@ numerators through ProductTensor.from_integral.
 from scalar columns, and the pair read off the adapted algebra's whole
 canonical product through dual_of_covector, as the library did before the
 split recovered the pair from two slices of the adapted omega-brackets.
+``fraction_document_to_parts`` is the scalar parse: each literal through
+parse_rational, a dense Matrix for omega and LieAlgebra.from_sparse, as
+the library did before documents were read straight to numerators.
 """
 
 import sympy
 
+from symplie.documents import MAX_DIM, _fail, _require_dict
 from symplie.extension import (AdmissibilityReport, AdmissiblePair,
                                EquationCheck, NotFlatError, ReductionStep)
 from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
@@ -38,7 +42,8 @@ from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
                             commutator, int_inverse, int_matmul, int_matrix,
                             int_product, inverse, is_zero_vector, kernel, solve,
                             sparse, subspace_intersect, unit_vector, vector)
-from symplie.rationals import ONE, THIRD, ZERO, Q, qstr, rational
+from symplie.rationals import (ONE, THIRD, ZERO, Q, RationalSyntaxError,
+                               parse_rational, qstr, rational)
 from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor, SkewForm,
                                 StructuralReport, SymplecticLieAlgebra,
                                 classify_subspace, curvature_residuals, perp,
@@ -708,3 +713,88 @@ def fraction_inverse_double_extend(s, e=None) -> ReductionStep:
     return ReductionStep(base=base, pair=AdmissiblePair(xi, b0), e=e, ebar=ebar,
                          transform=t, transform_integral=int_matrix(t),
                          pair_integral=int_matrix(xi.hstack(Matrix.from_cols([b0]))))
+
+
+# ---------------------------------------------------------------------------
+# the scalar parse
+
+def _fraction_coeff(text, path: str):
+    if not isinstance(text, str):
+        _fail(path, f"expected a rational string, got {type(text).__name__}")
+    try:
+        return parse_rational(text)
+    except RationalSyntaxError as exc:
+        _fail(path, str(exc))
+
+
+def fraction_document_to_parts(doc) -> tuple:
+    """(LieAlgebra, SkewForm, meta) of an algebra document, with the same
+    structural checks and messages as documents.document_to_parts, over
+    scalars: a sparse dict of Fractions and a dense Gram Matrix."""
+    doc = _require_dict(doc, "document",
+                        {"dim", "basis", "brackets", "omega", "meta"},
+                        {"dim", "basis", "brackets", "omega"})
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        _fail("dim", "expected a nonnegative integer")
+    if dim > MAX_DIM:
+        _fail("dim", f"{dim} exceeds the limit of {MAX_DIM}")
+    basis = doc["basis"]
+    if (not isinstance(basis, list)
+            or any(not isinstance(b, str) or not b for b in basis)):
+        _fail("basis", "expected a list of nonempty strings")
+    if len(basis) != dim:
+        _fail("basis", f"has {len(basis)} names but dim is {dim}")
+    if len(set(basis)) != dim:
+        _fail("basis", "names must be unique")
+    index = {name: k for k, name in enumerate(basis)}
+
+    def edge(item, path):
+        _require_dict(item, path, {"u", "v", "value"}, {"u", "v", "value"})
+        for field in ("u", "v"):
+            if item[field] not in index:
+                _fail(f"{path}.{field}", f"unknown basis name {item[field]!r}")
+        i, j = index[item["u"]], index[item["v"]]
+        if i >= j:
+            _fail(path, "u must come before v in the basis")
+        return i, j
+
+    if not isinstance(doc["brackets"], list):
+        _fail("brackets", "expected a list")
+    brackets = {}
+    for pos, item in enumerate(doc["brackets"]):
+        path = f"brackets[{pos}]"
+        i, j = edge(item, path)
+        if (i, j) in brackets:
+            _fail(path, f"duplicate bracket for ({item['u']}, {item['v']})")
+        value = item["value"]
+        if not isinstance(value, dict):
+            _fail(f"{path}.value", "expected an object of coefficients")
+        coeffs = {}
+        for name, text in value.items():
+            if name not in index:
+                _fail(f"{path}.value.{name}", "unknown basis name")
+            c = _fraction_coeff(text, f"{path}.value.{name}")
+            if c:
+                coeffs[index[name]] = c
+        brackets[(i, j)] = coeffs
+
+    if not isinstance(doc["omega"], list):
+        _fail("omega", "expected a list")
+    entries = [list(row) for row in Matrix.zeros(dim, dim).entries]
+    seen = set()
+    for pos, item in enumerate(doc["omega"]):
+        path = f"omega[{pos}]"
+        i, j = edge(item, path)
+        if (i, j) in seen:
+            _fail(path, f"duplicate omega entry for ({item['u']}, {item['v']})")
+        seen.add((i, j))
+        c = _fraction_coeff(item["value"], f"{path}.value")
+        entries[i][j] = c
+        entries[j][i] = -c
+    form = SkewForm(Matrix.from_rows(entries))
+
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        _fail("meta", "expected an object")
+    return LieAlgebra.from_sparse(tuple(basis), brackets), form, dict(meta)

@@ -370,6 +370,35 @@ class TestInternalErrors:
         assert "Traceback" not in out + err
 
 
+class TestClosedStdout:
+    """A reader that closes standard output early, as ``| head -1`` does,
+    ends the command quietly with exit code 141, not as bad input; the
+    pipe fails on a write when stdout is unbuffered and on the flush
+    when it is buffered."""
+
+    class FailingWrite:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    class FailingFlush:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("stdout", [FailingWrite, FailingFlush])
+    @pytest.mark.parametrize("argv", [["verify", "--catalog", "g6_3"],
+                                      ["catalog", "export", "g6_3"]])
+    def test_exit_code_141(self, capsys, monkeypatch, stdout, argv):
+        monkeypatch.setattr(sys, "stdout", stdout())
+        assert cli.main(argv) == 141
+        assert capsys.readouterr().err == ""
+
+
 class TestOversizedDocument:
     def test_dim_over_the_limit(self, capsys, tmp_path):
         doc = tmp_path / "big.json"
