@@ -8,6 +8,16 @@ subspaces or products are equal; their scalar views (``basis``,
 ``table``) are derived on first read.  Int rows are contracted by the
 one loop in :func:`int_sum`, scalar ones by :func:`accumulate`.
 
+The flatness kernels contract packed slots instead: :class:`PackedCells`
+turns each cell, an int vector x of length n, into the one int
+sum_k x_k 2^(k bits) (Kronecker substitution), so that a residual
+sum_t c_t v_t costs one big-int multiply-add per term instead of n.
+With bits = bound.bit_length() + 1 each component |x_k| <= bound lies
+in [-2^(bits-1), 2^(bits-1)), where the lowest slot is read back as the
+residue mod 2^bits, so packing is injective on such vectors: a bounded
+residual is zero exactly when its packed int is, and two are equal
+exactly when their packed ints are.
+
 Elimination is fraction-free, over Python ints: each rational row enters
 as the integer numerators of :func:`rationals.integral`, rows are
 combined without division and then divided by their content.  Callers
@@ -599,6 +609,37 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # bilinear product tensors
 
+class PackedCells:
+    """cells[a][m] = sum_k num_k 2^(k bits) over the cell (k, num) of a
+    tensor's :attr:`ProductTensor.integral`, with bits =
+    bound.bit_length() + 1: exact for int vectors with |x_k| <= bound, as
+    the module docstring shows.  :meth:`unpack` reads one back."""
+
+    __slots__ = ("dim", "bits", "cells")
+
+    def __init__(self, tensor: "ProductTensor", bound: int):
+        n, bits = tensor.dim, bound.bit_length() + 1
+        self.dim, self.bits = n, bits
+        cells = []
+        for row in tensor.integral[1]:
+            for cell in row:
+                acc = 0
+                for k, x in cell:
+                    acc += x << (k * bits)
+                cells.append(acc)
+        self.cells = tuple(tuple(cells[a * n:(a + 1) * n]) for a in range(n))
+
+    def unpack(self, x: int) -> tuple:
+        """The int vector of length dim, |x_k| < 2^(bits-1), packed as x."""
+        bits = self.bits
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        out = []
+        for _ in range(self.dim):
+            out.append(((x + half) & mask) - half)
+            x = (x - out[-1]) >> bits
+        return tuple(out)
+
+
 def _integral_rows(grid) -> tuple:
     """(den, rows) for a grid of cells, each the nonzero (k, scalar) of a
     vector: the numerators over the lcm of the denominators in lowest
@@ -682,6 +723,12 @@ class ProductTensor:
         return tuple(tuple(sparse(v) for v in row) for row in self.table)
 
     @cached_property
+    def max_numerator(self) -> int:
+        """The largest |num| of :attr:`integral` (0 for the zero product)."""
+        return max([abs(x) for row in self.integral[1] for cell in row for _, x in cell],
+                   default=0)
+
+    @cached_property
     def columns(self) -> tuple:
         """columns[j][i] = e_i o e_j: the same cells, read down a column."""
         return tuple(zip(*self.table))
@@ -712,17 +759,38 @@ class ProductTensor:
         return self._operator(u, self.table)
 
     @cached_property
+    def packed_associators(self) -> tuple:
+        """(packing, a): a[i][j][k] = den^2 ((e_i o e_j) o e_k - e_i o (e_j o e_k))
+        packed, each component a sum of at most 2n products of two
+        numerators, so bounded by 2n max_numerator^2.
+        :meth:`left_symmetry_violations` and :meth:`is_associative` read it."""
+        n, rows = self.dim, self.integral[1]
+        packing = PackedCells(self, 2 * n * self.max_numerator ** 2)
+        cells = packing.cells
+        out = []
+        for i in range(n):
+            ci, ri = cells[i], rows[i]
+            plane = []
+            for j in range(n):
+                rij, rj = ri[j], rows[j]
+                line = []
+                for k in range(n):
+                    acc = 0
+                    for a, c in rij:
+                        acc += c * cells[a][k]
+                    for b, c in rj[k]:
+                        acc -= c * ci[b]
+                    line.append(acc)
+                plane.append(tuple(line))
+            out.append(tuple(plane))
+        return packing, tuple(out)
+
+    @cached_property
     def int_associators(self) -> tuple:
         """int_associators[i][j][k] = den^2 ((e_i o e_j) o e_k - e_i o (e_j o e_k))
-        as a tuple of n ints, each one :func:`int_sum` over the rows of
-        :attr:`integral`.  :meth:`left_symmetry_violations` and
-        :meth:`is_associative` read it."""
-        n = self.dim
-        _, rows = self.integral
-        return tuple(tuple(tuple(
-            tuple(int_sum([(c, rows[a][k]) for a, c in rows[i][j]]
-                          + [(-c, rows[i][b]) for b, c in rows[j][k]], n))
-            for k in range(n)) for j in range(n)) for i in range(n))
+        as a tuple of n ints, unpacked from :attr:`packed_associators`."""
+        packing, a = self.packed_associators
+        return tuple(tuple(tuple(map(packing.unpack, row)) for row in plane) for plane in a)
 
     @cached_property
     def associators(self) -> tuple:
@@ -736,13 +804,13 @@ class ProductTensor:
 
     def left_symmetry_violations(self) -> tuple:
         """Basis triples (i, j, k), i < j, where ass(i,j,k) != ass(j,i,k)."""
-        a = self.int_associators
+        _, a = self.packed_associators
         n = self.dim
         return tuple((i, j, k) for i in range(n) for j in range(i + 1, n)
                      for k in range(n) if a[i][j][k] != a[j][i][k])
 
     def is_associative(self) -> bool:
-        return not any(any(v) for plane in self.int_associators for row in plane for v in row)
+        return not any(any(row) for plane in self.packed_associators[1] for row in plane)
 
     def is_zero(self) -> bool:
         return not any(cell for row in self.integral[1] for cell in row)

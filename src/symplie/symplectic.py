@@ -29,10 +29,11 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import SymplieError
 from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
-from .linalg import (Matrix, ProductTensor, Subspace, Vec, accumulate,
-                     common_kernel, commutator, dense, int_inverse, int_matmul,
-                     int_matrix, int_product, int_sum, kernel, rational_matrix,
-                     sparse, subspace_intersect, unit_vector, vdot, vector)
+from .linalg import (Matrix, PackedCells, ProductTensor, Subspace, Vec,
+                     accumulate, common_kernel, commutator, dense, int_inverse,
+                     int_matmul, int_matrix, int_product, int_sum, kernel,
+                     rational_matrix, sparse, subspace_intersect, unit_vector,
+                     vdot, vector)
 from .rationals import ZERO, rational
 
 
@@ -345,7 +346,7 @@ class SymplecticLieAlgebra:
         if bad is not None:
             raise FlatnessInvariantError(
                 f"canonical product is not Lie-admissible at {bad}")
-        return _first_curvature_violation(p, bracket.integral)
+        return _first_curvature_violation(p, bracket)
 
     @property
     def is_flat(self) -> bool:
@@ -361,6 +362,11 @@ class SymplecticLieAlgebra:
         (R_{e_i o e_j} - R_j R_i - [L_i, R_j]) e_m = A(i, m, j) - A(m, i, j),
         so the right form vanishes iff A(i, m, j) = A(m, i, j) for all
         i, j, m, which is left symmetry; it is evaluated once for both.
+
+        Both paths are packed kernels (:class:`linalg.PackedCells`): a
+        residual is one int per basis index, tested against 0 or compared
+        as it is.  They stay two computations, each packing the product at
+        its own bound, so that the cross-check is not a tautology.
         """
         witness = self.curvature_witness
         curvature_ok = witness is None
@@ -390,14 +396,16 @@ class SymplecticLieAlgebra:
 def lie_admissibility_failure(product: ProductTensor,
                               bracket: ProductTensor) -> Optional[tuple]:
     """The first basis pair (i, j), i < j, where e_i o e_j - e_j o e_i
-    differs from [e_i, e_j], or None; compared over the rows of both
-    integrals, times pden bden."""
+    differs from [e_i, e_j], or None; compared as packed cells of both
+    integrals, times pden bden, whose components are at most
+    2 bden mp + pden mb for the largest |numerators| mp and mb."""
     n = product.dim
-    pden, p = product.integral
-    bden, b = bracket.integral
+    pden, bden = product.integral[0], bracket.integral[0]
+    bound = 2 * bden * product.max_numerator + pden * bracket.max_numerator
+    p, b = PackedCells(product, bound).cells, PackedCells(bracket, bound).cells
     for i in range(n):
         for j in range(i + 1, n):
-            if any(int_sum(((bden, p[i][j]), (-bden, p[j][i]), (-pden, b[i][j])), n)):
+            if bden * (p[i][j] - p[j][i]) != pden * b[i][j]:
                 return (i, j)
     return None
 
@@ -409,22 +417,34 @@ def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
     Works on the nonzero entries of the product and bracket tables only,
     as ints, and stops at the first nonzero residual vector.
     """
-    return _first_curvature_violation(product, ProductTensor(product.dim, table).integral)
+    return _first_curvature_violation(product, ProductTensor(product.dim, table))
 
 
-def _first_curvature_violation(product: ProductTensor, bracket: tuple) -> Optional[tuple]:
-    """first_curvature_violation with the bracket table given as its
-    integral (bden, rows), as in :attr:`ProductTensor.integral`."""
+def _first_curvature_violation(product: ProductTensor,
+                               bracket: ProductTensor) -> Optional[tuple]:
+    """first_curvature_violation with the bracket as a tensor.  Each
+    residual is one packed int, summed over the nonzero entries; its
+    components are at most n den mb mp + 2n bden mp^2 for the largest
+    |numerators| mp and mb of the product and the bracket."""
     den, nz = product.integral
-    bden, br = bracket
-    n = product.dim
+    bden, br = bracket.integral
+    n, mp, mb = product.dim, product.max_numerator, bracket.max_numerator
+    p = PackedCells(product, n * den * mb * mp + 2 * n * bden * mp * mp).cells
     for i in range(n):
+        pi, nzi = p[i], nz[i]
         for j in range(i + 1, n):
+            pj, nzj, bij = p[j], nz[j], br[i][j]
             for m in range(n):
                 # den^2 * bden times the residual at e_m
-                if any(int_sum([(den * c, nz[a][m]) for a, c in br[i][j]]
-                               + [(-bden * c, nz[i][k]) for k, c in nz[j][m]]
-                               + [(bden * c, nz[j][k]) for k, c in nz[i][m]], n)):
+                b = 0
+                for a, c in bij:
+                    b += c * p[a][m]
+                r = 0
+                for k, c in nzi[m]:
+                    r += c * pj[k]
+                for k, c in nzj[m]:
+                    r -= c * pi[k]
+                if den * b + bden * r:
                     return (i, j)
     return None
 
@@ -610,9 +630,11 @@ class StructuralReport:
         return [c.line() for c in self.claims]
 
 
-def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace) -> tuple:
+def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace,
+                      iperp: Optional[Subspace] = None) -> tuple:
     """(holds, detail) for: Iperp o I <= I, I o Iperp <= I,
-    Iperp o Iperp <= Iperp, and Iperp a Lie subalgebra.
+    Iperp o Iperp <= Iperp, and Iperp a Lie subalgebra; iperp is the perp
+    of ideal when the caller already has it.
 
     omega is nondegenerate, so I = (Iperp)perp: a vector lies in I iff
     omega pairs it to zero with every basis column of Iperp, and in Iperp
@@ -622,7 +644,7 @@ def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace) -> tuple:
     _, prows = s.canonical_product.integral
     _, brows = s.algebra.bracket_tensor.integral
     icols = ideal.integral
-    pcols = perp(s, ideal).integral
+    pcols = (perp(s, ideal) if iperp is None else iperp).integral
     into_i = _int_covectors(s, pcols)
     into_perp = _int_covectors(s, icols)
     for u in pcols:
@@ -703,9 +725,9 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
           center == subspace_intersect(nl, kernels.right_kernel))
     claim("center_is_left_kernel_meet_derived_perp", True,
           center == subspace_intersect(nl, dperp))
-    holds, detail = _ideal_perp_rules(s, derived)
+    holds, detail = _ideal_perp_rules(s, derived, dperp)
     claim("derived_ideal_perp_rules", True, holds, detail)
-    holds, detail = _ideal_perp_rules(s, center)
+    holds, detail = _ideal_perp_rules(s, center, zperp)
     claim("center_ideal_perp_rules", True, holds, detail)
     claim("right_trace_identity", True,
           all(right_traces[i] * bden == -ad_traces[i] * pden for i in range(n)),

@@ -28,7 +28,10 @@ canonical product through dual_of_covector, as the library did before the
 split recovered the pair from two slices of the adapted omega-brackets.
 ``fraction_document_to_parts`` is the scalar parse: each literal through
 parse_rational, a dense Matrix for omega and LieAlgebra.from_sparse, as
-the library did before documents were read straight to numerators.
+the library did before documents were read straight to numerators.  The
+``int_sum_*`` flatness kernels are the unpacked int loops, one
+:func:`int_sum` of length n per residual, that the library ran before
+its flatness kernels moved to packed slots.
 """
 
 import sympy
@@ -40,8 +43,8 @@ from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
                          LowerCentralSeries)
 from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
                             commutator, int_inverse, int_matmul, int_matrix,
-                            int_product, inverse, is_zero_vector, kernel, solve,
-                            sparse, subspace_intersect, unit_vector, vector)
+                            int_product, int_sum, inverse, is_zero_vector, kernel,
+                            solve, sparse, subspace_intersect, unit_vector, vector)
 from symplie.rationals import (ONE, THIRD, ZERO, Q, RationalSyntaxError,
                                parse_rational, qstr, rational)
 from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor, SkewForm,
@@ -798,3 +801,50 @@ def fraction_document_to_parts(doc) -> tuple:
     if not isinstance(meta, dict):
         _fail("meta", "expected an object")
     return LieAlgebra.from_sparse(tuple(basis), brackets), form, dict(meta)
+
+
+# ---------------------------------------------------------------------------
+# the unpacked int flatness kernels
+
+def int_sum_lie_admissibility_failure(product: ProductTensor,
+                                      bracket: ProductTensor):
+    """The first basis pair (i, j), i < j, where e_i o e_j - e_j o e_i
+    differs from [e_i, e_j], or None; compared over the rows of both
+    integrals, times pden bden."""
+    n = product.dim
+    pden, p = product.integral
+    bden, b = bracket.integral
+    for i in range(n):
+        for j in range(i + 1, n):
+            if any(int_sum(((bden, p[i][j]), (-bden, p[j][i]), (-pden, b[i][j])), n)):
+                return (i, j)
+    return None
+
+
+def int_sum_first_curvature_violation(product: ProductTensor, bracket: tuple):
+    """first_curvature_violation with the bracket table given as its
+    integral (bden, rows), as in :attr:`ProductTensor.integral`."""
+    den, nz = product.integral
+    bden, br = bracket
+    n = product.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for m in range(n):
+                # den^2 * bden times the residual at e_m
+                if any(int_sum([(den * c, nz[a][m]) for a, c in br[i][j]]
+                               + [(-bden * c, nz[i][k]) for k, c in nz[j][m]]
+                               + [(bden * c, nz[j][k]) for k, c in nz[i][m]], n)):
+                    return (i, j)
+    return None
+
+
+def int_sum_associators(p: ProductTensor) -> tuple:
+    """int_associators[i][j][k] = den^2 ((e_i o e_j) o e_k - e_i o (e_j o e_k))
+    as a tuple of n ints, each one :func:`int_sum` over the rows of
+    :attr:`integral`."""
+    n = p.dim
+    _, rows = p.integral
+    return tuple(tuple(tuple(
+        tuple(int_sum([(c, rows[a][k]) for a, c in rows[i][j]]
+                      + [(-c, rows[i][b]) for b, c in rows[j][k]], n))
+        for k in range(n)) for j in range(n)) for i in range(n))
