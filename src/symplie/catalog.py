@@ -23,7 +23,7 @@ from .errors import SymplieError
 from .extension import AdmissiblePair
 from .lie import LieAlgebra
 from .linalg import Matrix, subspace_sum
-from .rationals import ONE, ZERO, Q, as_q
+from .rationals import ONE, ZERO, Q, as_q, integral
 from .symplectic import (ProductTensor, SkewForm, SymplecticLieAlgebra,
                          validate_symplectic)
 
@@ -41,13 +41,13 @@ class UnsupportedDimensionError(SymplieError):
 
 
 def wedge_form(dim: int, terms) -> SkewForm:
-    """Skew Gram matrix from terms (i, j, c): omega(x_i, x_j) = c, 1-based."""
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i, j, c in terms:
-        c = as_q(c)
-        rows[i - 1][j - 1] = c
-        rows[j - 1][i - 1] = -c
-    return SkewForm(Matrix.from_rows(rows))
+    """Skew Gram matrix from terms (i, j, c): omega(x_i, x_j) = c, 1-based,
+    with the c put over one denominator."""
+    den, nums = integral([as_q(c) for _, _, c in terms])
+    rows = [[0] * dim for _ in range(dim)]
+    for (i, j, _), c in zip(terms, nums):
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = c, -c
+    return SkewForm.from_integral(den, rows)
 
 
 @dataclass(frozen=True)
@@ -377,57 +377,46 @@ def admissible_family(name: str, params: Mapping) -> tuple:
         raise UnknownNameError(
             f"unknown family {name!r}; available: {', '.join(family_names())}")
     p = _family_params(name, params)
-    z4 = (ZERO,) * 4
-
+    a, b, c, d = (p.get(k, ZERO) for k in "abcd")
+    # each row is a row of xi followed by the entry of b0
     if name == "dim2_trivial":
-        return "abelian2", AdmissiblePair(Matrix.zeros(2, 2),
-                                          (p["alpha"], p["beta"]))
+        return "abelian2", _pair([0, 0, p["alpha"]], [0, 0, p["beta"]])
     if name == "dim2_nilpotent":
-        if not p["a"]:
+        if not a:
             raise ConstraintViolatedError("dim2_nilpotent needs a != 0")
-        xi = Matrix.from_rows([(ZERO, p["a"]), (ZERO, ZERO)])
-        return "abelian2", AdmissiblePair(xi, (p["alpha"], ZERO))
+        return "abelian2", _pair([0, a, p["alpha"]], [0, 0, 0])
     if name == "dim4_abelian_case1":
-        return "abelian4", AdmissiblePair(
-            Matrix.zeros(4, 4),
-            (p["alpha"], p["beta"], p["gamma"], p["delta"]))
+        return "abelian4", _pair(*([0, 0, 0, 0, p[k]]
+                                   for k in ("alpha", "beta", "gamma", "delta")))
     if name == "dim4_abelian_case2":
-        if p["a"] * p["d"] == p["b"] * p["c"]:
+        if a * d == b * c:
             raise ConstraintViolatedError("dim4_abelian_case2 needs ad != bc")
-        xi = Matrix.from_rows([
-            (ZERO, ZERO, p["a"], p["b"]),
-            (ZERO, ZERO, p["c"], p["d"]),
-            z4, z4])
-        return "abelian4_w0", AdmissiblePair(
-            xi, (p["alpha"], p["beta"], ZERO, ZERO))
+        return "abelian4_w0", _pair([0, 0, a, b, p["alpha"]], [0, 0, c, d, p["beta"]],
+                                    [0] * 5, [0] * 5)
     if name == "dim4_abelian_case3":
-        if not p["a"]:
+        if not a:
             raise ConstraintViolatedError("dim4_abelian_case3 needs a != 0")
-        xi = Matrix.from_rows([(ZERO, ZERO, ZERO, p["a"]), z4, z4, z4])
-        return "abelian4_w0", AdmissiblePair(
-            xi, (p["alpha"], p["beta"], p["gamma"], ZERO))
+        return "abelian4_w0", _pair([0, 0, 0, a, p["alpha"]], [0, 0, 0, 0, p["beta"]],
+                                    [0, 0, 0, 0, p["gamma"]], [0] * 5)
     if name == "dim4_abelian_case4":
-        if not p["a"]:
+        if not a:
             raise ConstraintViolatedError("dim4_abelian_case4 needs a != 0")
-        xi = Matrix.from_rows([(ZERO, ZERO, ZERO, p["a"]), z4, z4, z4])
-        return "abelian4", AdmissiblePair(
-            xi, (p["alpha"], ZERO, p["beta"], ZERO))
+        return "abelian4", _pair([0, 0, 0, a, p["alpha"]], [0] * 5,
+                                 [0, 0, 0, 0, p["beta"]], [0] * 5)
     if name == "dim4_nonabelian_family1":
-        xi = Matrix.from_rows([
-            z4, z4,
-            (p["a"], p["b"], ZERO, ZERO),
-            (p["c"], p["d"], ZERO, ZERO)])
-        return "r_h3_dim4", AdmissiblePair(
-            xi, (ZERO, ZERO, p["alpha"], p["beta"]))
-    if not p["c"]:
+        return "r_h3_dim4", _pair([0] * 5, [0] * 5, [a, b, 0, 0, p["alpha"]],
+                                  [c, d, 0, 0, p["beta"]])
+    if not c:
         raise ConstraintViolatedError("dim4_nonabelian_family2 needs c != 0")
-    xi = Matrix.from_rows([
-        z4, z4,
-        (p["a"], p["b"], ZERO, p["c"]),
-        (ZERO, p["d"], ZERO, ZERO)])
-    b0 = (-9 * p["c"] * p["d"], ZERO, p["x"],
-          9 * p["d"] * (p["a"] + p["d"]))
-    return "r_h3_dim4", AdmissiblePair(xi, b0)
+    return "r_h3_dim4", _pair([0, 0, 0, 0, -9 * c * d], [0] * 5, [a, b, 0, c, p["x"]],
+                              [0, d, 0, 0, 9 * d * (a + d)])
+
+
+def _pair(*rows) -> AdmissiblePair:
+    """The pair whose [xi | b0] has these rows, put over one denominator."""
+    den, nums = integral([x for row in rows for x in row])
+    it = iter(nums)
+    return AdmissiblePair.from_integral(den, [[next(it) for _ in row] for row in rows])
 
 
 def family_parameter_grid(name: str) -> tuple:

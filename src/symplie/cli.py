@@ -20,15 +20,14 @@ from pathlib import Path
 
 from . import catalog
 from .documents import (DocumentError, algebra_to_document, document_to_algebra,
-                        document_to_pair, dumps_document, parse_document,
-                        pair_to_document, tower_to_document)
+                        document_to_pair, dumps_document, literals_to_pair,
+                        pair_to_document, parse_document, tower_to_document)
 from .errors import SymplieError
-from .extension import (AdmissiblePair, NotAdmissibleError, NotAnIdealError,
-                        NotFlatError, TrivialCenterError, double_extend,
-                        inverse_double_extend, reduction_tower, tower_pairs)
+from .extension import (NotAdmissibleError, NotAnIdealError, NotFlatError,
+                        TrivialCenterError, double_extend, inverse_double_extend,
+                        reduction_tower, tower_pairs)
 from .lie import InvalidLieAlgebraError
-from .linalg import Matrix
-from .rationals import RationalSyntaxError, parse_rational, qstr
+from .rationals import RationalSyntaxError, parse_literal, parse_rational, qstr
 from .symplectic import InvalidSymplecticError, structural_report
 
 _INPUT_ERRORS = (DocumentError, InvalidSymplecticError, InvalidLieAlgebraError,
@@ -136,9 +135,10 @@ def _cmd_verify(args) -> int:
     return rc
 
 
-def _parse_xi(raw: str, n: int) -> Matrix:
+def _parse_xi(raw: str, n: int) -> list:
+    """The rows of --xi as (num, den) literals."""
     if raw == "zero":
-        return Matrix.zeros(n, n)
+        return [[(0, 1)] * n for _ in range(n)]
     # inline JSON starts a list or an object; anything else names a file
     text = raw if raw.lstrip().startswith(("[", "{")) else Path(raw).read_text()
     rows = parse_document(text)
@@ -148,17 +148,18 @@ def _parse_xi(raw: str, n: int) -> Matrix:
     def coeff(x):
         if isinstance(x, bool) or not isinstance(x, (int, str)):
             raise ValueError(f"--xi entries must be integers or rational strings")
-        return parse_rational(str(x))
-    return Matrix.from_rows([[coeff(x) for x in row] for row in rows])
+        return parse_literal(str(x))
+    return [[coeff(x) for x in row] for row in rows]
 
 
-def _parse_b0(raw: str, n: int) -> tuple:
+def _parse_b0(raw: str, n: int) -> list:
+    """--b0 as (num, den) literals."""
     if raw == "zero":
-        return tuple([parse_rational("0")] * n)
+        return [(0, 1)] * n
     parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
     if len(parts) != n:
         raise ValueError(f"--b0 must list {n} comma-separated rationals")
-    return tuple(parse_rational(p) for p in parts)
+    return [parse_literal(p) for p in parts]
 
 
 def _cmd_extend(args) -> int:
@@ -173,8 +174,8 @@ def _cmd_extend(args) -> int:
     else:
         if args.xi is None or args.b0 is None:
             raise ValueError("extend needs --pair FILE or both --xi and --b0")
-        pair = AdmissiblePair(_parse_xi(args.xi, base.dim),
-                              _parse_b0(args.b0, base.dim))
+        pair = literals_to_pair(_parse_xi(args.xi, base.dim),
+                                _parse_b0(args.b0, base.dim))
     ext = double_extend(base, pair)
     _emit(algebra_to_document(ext, meta={"extended_from": label}), args.out)
     return 0

@@ -15,8 +15,9 @@ All coefficients are exact rational strings.  Reading an algebra
 document builds no scalar: each literal becomes the (num, den) ints of
 :func:`rationals.parse_literal`, the bracket's and omega's literals are
 each put over one common denominator, and the numerators go to
-:meth:`LieAlgebra.from_integral` and :meth:`SkewForm.from_integral`.  A
-pair document's xi and b0 are read as scalars.
+:meth:`LieAlgebra.from_integral` and :meth:`SkewForm.from_integral`; a
+pair document's xi and b0 literals go over one common denominator to
+:meth:`AdmissiblePair.from_integral`.  Writing reads the same numerators.
 
 Serialization is canonical: bracket and omega entries are sorted by
 basis index with u before v, zero entries are dropped, and the writer
@@ -33,7 +34,6 @@ from typing import Mapping, Sequence
 from .errors import SymplieError
 from .extension import AdmissiblePair
 from .lie import LieAlgebra
-from .linalg import Matrix
 from .rationals import RationalSyntaxError, parse_literal, qstr, rational
 from .symplectic import (SkewForm, SymplecticLieAlgebra, validate_symplectic)
 
@@ -192,11 +192,17 @@ def document_to_algebra(doc) -> tuple:
 # pair and tower documents
 
 def pair_to_document(pair: AdmissiblePair) -> dict:
-    return {
-        "base_dim": pair.base_dim,
-        "xi": [[qstr(x) for x in row] for row in pair.xi.entries],
-        "b0": [qstr(x) for x in pair.b0],
-    }
+    den, rows = pair.integral
+    text = [[qstr(rational(x, den)) for x in row] for row in rows]
+    return {"base_dim": pair.base_dim, "xi": [row[:-1] for row in text],
+            "b0": [row[-1] for row in text]}
+
+
+def literals_to_pair(xi, b0) -> AdmissiblePair:
+    """The pair with these (num, den) literals as xi's rows and b0, over one lcm."""
+    den, nums = _over_lcm([c for row, b in zip(xi, b0) for c in (*row, b)])
+    it, n = iter(nums), len(b0)
+    return AdmissiblePair.from_integral(den, [[next(it) for _ in range(n + 1)] for _ in b0])
 
 
 def document_to_pair(doc) -> AdmissiblePair:
@@ -214,14 +220,11 @@ def document_to_pair(doc) -> AdmissiblePair:
     for r, row in enumerate(xi):
         if not isinstance(row, list) or len(row) != n:
             _fail(f"xi[{r}]", f"expected {n} entries")
-        rows.append([rational(*_literal(x, f"xi[{r}][{c}]"))
-                     for c, x in enumerate(row)])
+        rows.append([_literal(x, f"xi[{r}][{c}]") for c, x in enumerate(row)])
     b0 = doc["b0"]
     if not isinstance(b0, list) or len(b0) != n:
         _fail("b0", f"expected {n} entries")
-    vec = [rational(*_literal(x, f"b0[{k}]")) for k, x in enumerate(b0)]
-    return AdmissiblePair(Matrix.from_rows(rows) if n else Matrix.zeros(0, 0),
-                          tuple(vec))
+    return literals_to_pair(rows, [_literal(x, f"b0[{k}]") for k, x in enumerate(b0)])
 
 
 def tower_to_document(pairs: Sequence[AdmissiblePair]) -> dict:

@@ -32,19 +32,19 @@ conjugations, as in :mod:`linalg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
 from .linalg import (Matrix, Subspace, Vec, accumulate, dense, int_inverse,
-                     int_matmul, int_matrix, int_product, int_sum, kernel,
-                     rational_matrix, solve, sparse, subspace_intersect, subspace_sum,
-                     unit_vector, vector)
+                     int_matmul, int_product, int_sum, kernel, solve, sparse,
+                     subspace_intersect, subspace_sum, unit_vector, vector)
 from .rationals import THIRD, ZERO, Q, integral, rational
 from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
-                         classify_subspace, int_change_of_basis, perp)
+                         change_of_basis, classify_subspace, perp)
 
 
 class NotFlatError(SymplieError):
@@ -73,23 +73,47 @@ class ExtensionInvariantError(SymplieError):
     """Internal: a guaranteed property of the construction failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdmissiblePair:
-    """The data (xi, b0) attached to a double extension of a flat base."""
+    """The data (xi, b0) attached to a double extension of a flat base.
 
-    xi: Matrix
-    b0: Vec
+    Its state is :attr:`integral` = (den, rows): rows[k] is row k of
+    [xi | b0] as ints over den, canonical as in :class:`Matrix`, so two
+    pairs are equal exactly when their xi and b0 are.  :attr:`xi` and
+    :attr:`b0` are derived on first read.
+    """
 
-    def __post_init__(self):
-        if not self.xi.is_square:
+    integral: tuple
+
+    def __init__(self, xi: Matrix, b0: Sequence):
+        """The pair of a square xi and a b0 of matching length."""
+        if not xi.is_square:
             raise ValueError("xi must be square")
-        object.__setattr__(self, "b0", vector(self.b0))
-        if len(self.b0) != self.xi.rows:
-            raise ValueError("b0 length must match xi")
+        b0 = vector(b0)
+        if len(b0) != xi.rows:
+            raise ValueError(f"b0 must have length {xi.rows}")
+        object.__setattr__(self, "integral", xi.hstack(Matrix.from_cols([b0])).integral)
+
+    @classmethod
+    def from_integral(cls, den: int, rows) -> "AdmissiblePair":
+        """The pair with [xi | b0] = rows / den, n rows of n + 1 ints; no scalar is built."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "integral", Matrix.from_integral(den, rows).integral)
+        return out
 
     @property
     def base_dim(self) -> int:
-        return self.xi.rows
+        return len(self.integral[1])
+
+    @cached_property
+    def xi(self) -> Matrix:
+        den, rows = self.integral
+        return Matrix.from_integral(den, [row[:-1] for row in rows])
+
+    @cached_property
+    def b0(self) -> Vec:
+        den, rows = self.integral
+        return tuple(rational(row[-1], den) if row[-1] else ZERO for row in rows)
 
 
 class EquationCheck(NamedTuple):
@@ -120,32 +144,28 @@ def _require_flat(base: SymplecticLieAlgebra) -> None:
         raise NotFlatError("extension pairs are only defined over a flat base")
 
 
-def _pair_rows(base: SymplecticLieAlgebra, xi: Matrix, b0: Sequence) -> tuple:
+def _pair_rows(base: SymplecticLieAlgebra, pair: AdmissiblePair) -> tuple:
     """(den, rows): row k of [X | S | B] as ints over one den, with
-    xi = X / den, its omega-adjoint xi* = S / den and b0 = B / den.
-
-    double_extend computes these rows once for the identity check and the
-    assembly; :func:`_int_pair_rows` does the work.
-    """
+    xi = X / den, its omega-adjoint xi* = S / den and b0 = B / den; S
+    comes from :meth:`SkewForm.int_adjoint` on the numerators of xi."""
     n = base.dim
-    if xi.shape != (n, n):
+    if pair.base_dim != n:
         raise ValueError(f"xi must be {n}x{n}")
-    b0 = vector(b0)
-    if len(b0) != n:
-        raise ValueError(f"b0 must have length {n}")
-    return _int_pair_rows(base, *int_matrix(xi), *integral(b0))
-
-
-def _int_pair_rows(base: SymplecticLieAlgebra, xden: int, xs, bden: int, bs) -> tuple:
-    """:func:`_pair_rows` for xi = xs / xden and b0 = bs / bden given as
-    int rows.  S comes from :meth:`SkewForm.int_adjoint` on the
-    numerators of xi, so xi* is never built as scalars."""
+    xden, xs = pair.xi.integral
     sden, ss = base.form.int_adjoint(xs)
     sden *= xden  # xi* = ss / sden
-    den = lcm(sden, bden)
-    fx, fs, fb = den // xden, den // sden, den // bden
-    return den, [[fx * a for a in x] + [fs * a for a in s] + [fb * b]
-                 for x, s, b in zip(xs, ss, bs)]
+    pden, ps = pair.integral
+    den = lcm(sden, pden)
+    fp, fs = den // pden, den // sden
+    return den, [[fp * a for a in p[:n]] + [fs * a for a in s] + [fp * p[n]]
+                 for p, s in zip(ps, ss)]
+
+
+def _as_pair(base: SymplecticLieAlgebra, xi: Matrix, b0: Sequence) -> AdmissiblePair:
+    """(xi, b0) as a pair over base, whose dimension they must match."""
+    if xi.shape != (base.dim, base.dim):
+        raise ValueError(f"xi must be {base.dim}x{base.dim}")
+    return AdmissiblePair(xi, b0)
 
 
 def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
@@ -167,7 +187,7 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
     the rows of their integral.
     """
     _require_flat(base)
-    return _admissibility(base, *_pair_rows(base, xi, b0))
+    return _admissibility(base, *_pair_rows(base, _as_pair(base, xi, b0)))
 
 
 def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityReport:
@@ -258,7 +278,7 @@ def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
     pair the result is flat symplectic with the closed-form products;
     TestConstructionTheorem in tests/test_extension.py proves it.
     """
-    return _assemble(base, *_pair_rows(base, xi, b0))
+    return _assemble(base, *_pair_rows(base, _as_pair(base, xi, b0)))
 
 
 def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebra:
@@ -273,8 +293,7 @@ def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebr
     """
     n = base.dim
     bden, brows = base.algebra.bracket_tensor.integral
-    wden, _ = base.form.integral
-    w = base.form.int_rows
+    wden, w = base.form.matrix.integral
     # sym_w[p][q] = den wden omega_B((xi + xi*)(e_p), e_q), b0_w[p] = den wden omega_B(b0, e_p)
     sym_w = int_matmul(list(zip(*([a + b for a, b in zip(row, row[n:2 * n])]
                                   for row in rows))), w)
@@ -306,7 +325,7 @@ def double_extend(base: SymplecticLieAlgebra,
     the assembly.
     """
     _require_flat(base)
-    den, rows = _pair_rows(base, pair.xi, pair.b0)
+    den, rows = _pair_rows(base, pair)
     report = _admissibility(base, den, rows)
     if not report.admissible:
         raise NotAdmissibleError(report)
@@ -322,9 +341,8 @@ class ReductionStep:
 
     transform columns are [e, base-complement..., ebar] in the original
     coordinates; rewriting the input in that basis reproduces
-    double_extend(base, pair) entry for entry.  transform and [xi | b0]
-    are also kept as the int rows (den, rows) the split computed them as,
-    for the tower conjugations of :func:`tower_pairs`.
+    double_extend(base, pair) entry for entry.  transform and pair hold
+    the int numerators the split computed.
     """
 
     base: SymplecticLieAlgebra
@@ -332,8 +350,6 @@ class ReductionStep:
     e: Vec
     ebar: Vec
     transform: Matrix
-    transform_integral: tuple = field(compare=False, repr=False)
-    pair_integral: tuple = field(compare=False, repr=False)
 
 
 def inverse_double_extend(s: SymplecticLieAlgebra,
@@ -375,24 +391,23 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
 
     # omega(e, e_k) = r_k / (eden wden), and ebar = e_c / omega(e, e_c) at
     # the first c where it is nonzero
-    wden, _ = s.form.integral
-    gram = s.form.int_rows
+    wden, gram = s.form.matrix.integral
     r = accumulate([0] * n2, es, gram)
     c = next(k for k, x in enumerate(r) if x)
     fnum, fden = (eden * wden, r[c]) if r[c] > 0 else (-eden * wden, -r[c])
     ebar = tuple(rational(fnum, fden) if k == c else ZERO for k in range(n2))
     # the perp of the line: omega(x, e) = 0 and omega(x, ebar) = 0, which
     # are the rows r (up to sign, omega being skew) and gram[c]
-    base_cols = kernel(Matrix(2, n2, (tuple(r), tuple(gram[c])))).integral
+    base_cols = kernel(Matrix.from_integral(1, [r, gram[c]])).integral
     if len(base_cols) != n:
         raise ExtensionInvariantError("hyperbolic pair has degenerate span")
     # T = trows / tden, its columns e, the perp basis and ebar
     cols = ([(eden, es)] + [(b[0][1], dense(b, n2)) for b in base_cols]
             + [(fden, [fnum if k == c else 0 for k in range(n2)])])
     tden = lcm(*(d for d, _ in cols))
-    trows = list(zip(*([x * (tden // d) for x in v] for d, v in cols)))
-    names = tuple(f"e{k + 1}" for k in range(n2))
-    adapted = int_change_of_basis(s, tden, trows, names)
+    transform = Matrix.from_integral(tden, list(zip(*([x * (tden // d) for x in v]
+                                                      for d, v in cols))))
+    adapted = change_of_basis(s, transform, tuple(f"e{k + 1}" for k in range(n2)))
 
     # the base is the middle block of the adapted bracket and form
     aden, arows = adapted.algebra.bracket_tensor.integral
@@ -413,12 +428,14 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     phi = [[sum(x * agram[k][n + 1] for k, x in arows[1 + p][1 + q]) + at[p][1 + q]
             for p in range(n)] for q in range(n)]
     # xi(b_p) and b0 are the omega_B-duals x = -W_B^-1 y of phi[.][p] and
-    # of omega_B(b0, b_q) = omega([ebar, b_q], ebar) = -at[q][ebar]
+    # of omega_B(b0, b_q) = omega([ebar, b_q], ebar) = -at[q][ebar], so
+    # [xi | b0] is [-inv phi | 3 inv at[.][ebar]] over 3 cden iden
     iden, inv = base.form.int_inverse
-    xden, xs = 3 * cden * iden, [[-x for x in row] for row in int_matmul(inv, phi)]
-    bden, bs = cden * iden, [sum(a * at[q][n + 1] for q, a in enumerate(row)) for row in inv]
+    pair = AdmissiblePair.from_integral(3 * cden * iden, [
+        [-x for x in row] + [3 * sum(a * at[q][n + 1] for q, a in enumerate(irow))]
+        for row, irow in zip(int_matmul(inv, phi), inv)])
 
-    den, rows = _int_pair_rows(base, xden, xs, bden, bs)
+    den, rows = _pair_rows(base, pair)
     report = _admissibility(base, den, rows)
     if not report.admissible:
         raise ExtensionInvariantError("recovered pair is not admissible; failed: "
@@ -426,15 +443,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     rebuilt = _assemble(base, den, rows)
     if (rebuilt.algebra, rebuilt.form) != (adapted.algebra, adapted.form):
         raise ExtensionInvariantError("rebuilt extension differs from input")
-    pair = AdmissiblePair(rational_matrix(xden, xs),
-                          tuple(rational(b, bden) if b else ZERO for b in bs))
-    pden = lcm(xden, bden)
-    return ReductionStep(base=base, pair=pair, e=e, ebar=ebar,
-                         transform=rational_matrix(tden, trows),
-                         transform_integral=(tden, trows),
-                         pair_integral=(pden, [[x * (pden // xden) for x in row]
-                                               + [b * (pden // bden)]
-                                               for row, b in zip(xs, bs)]))
+    return ReductionStep(base=base, pair=pair, e=e, ebar=ebar, transform=transform)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +492,7 @@ def symplectic_reduce(s: SymplecticLieAlgebra,
     form_rows = [[s.form.pair(reps[a], reps[b]) for b in range(m)]
                  for a in range(m)]
     return SymplecticLieAlgebra(LieAlgebra.from_sparse(names, entries),
-                                SkewForm(Matrix.from_rows(form_rows)
-                                         if m else Matrix.zeros(0, 0)))
+                                SkewForm(Matrix.from_rows(form_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +545,17 @@ def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
     pairs = []
     wden, w = 1, []  # the accumulated transform, as int rows over wden
     for step in reversed(steps):
-        m = len(w)
-        # w^-1 xi w and w^-1 b0, with w^-1 = wden * inv / iden and xi = X / xden
-        iden, inv = int_inverse(w)
-        xden, rows = step.pair_integral
-        conj = int_matmul(inv, rows)
-        xi = rational_matrix(iden * xden, int_matmul([row[:m] for row in conj], w))
-        b0 = tuple(rational(wden * row[m], iden * xden) for row in conj)
-        pairs.append(AdmissiblePair(xi, b0))
+        # [xi | b0] = rows / pden becomes w^-1 [xi | b0] diag(w, 1)
+        # = inv rows diag(w, wden) / (iden pden), as w^-1 = wden inv / iden
+        (iden, inv), (pden, rows) = int_inverse(w), step.pair.integral
+        diag = [[*row, 0] for row in w] + [[0] * len(w) + [wden]]
+        pairs.append(AdmissiblePair.from_integral(iden * pden,
+                                                  int_matmul(int_matmul(inv, rows), diag)))
         # w becomes transform @ diag(1, w, 1) in the [e, base..., ebar] layout
-        tden, trows = step.transform_integral
+        tden, trows = step.transform.integral
         w = int_matmul(trows, _bordered(w, ((wden, 0), (0, wden))))
         wden *= tden
-    return pairs, rational_matrix(wden, w)
+    return pairs, Matrix.from_integral(wden, w)
 
 
 def tower_pairs(steps: Sequence[ReductionStep]) -> list:

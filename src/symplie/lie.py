@@ -15,8 +15,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel, dense,
-                     int_inverse, int_matmul, int_matrix, int_product, int_sum,
-                     is_zero_vector, sparse)
+                     int_inverse, int_matmul, int_product, int_sum, is_zero_vector,
+                     sparse)
 from .rationals import as_q, rational
 
 
@@ -242,22 +242,18 @@ class LieAlgebra:
     # -- transport ---------------------------------------------------------------
 
     def change_of_basis(self, t: Matrix, names: Sequence[str] | None = None) -> "LieAlgebra":
-        """Structure constants in the basis given by the columns of t,
-        through :meth:`int_change_of_basis` on the numerators of t."""
-        if t.shape != (self.dim, self.dim):
-            raise ValueError("change of basis matrix has wrong shape")
-        return self.int_change_of_basis(*int_matrix(t), names)
+        """Structure constants in the basis given by the columns of t.
 
-    def int_change_of_basis(self, tden: int, trows,
-                            names: Sequence[str] | None = None) -> "LieAlgebra":
-        """change_of_basis for t = trows / tden, given as square int rows.
-
-        Each new bracket T^-1 [T_i, T_j] is one :func:`int_product` over
-        the bracket's integral rows and the columns of trows; all of them
-        are then combined by the int rows of trows^-1 from one
-        elimination, and the result is built by :meth:`from_integral`.
+        With t = trows / tden, each new bracket T^-1 [T_i, T_j] is one
+        :func:`int_product` over the bracket's integral rows and the
+        columns of trows; all of them are then combined by the int rows
+        of trows^-1 from one elimination, and the result is built by
+        :meth:`from_integral`.
         """
         n = self.dim
+        if t.shape != (n, n):
+            raise ValueError("change of basis matrix has wrong shape")
+        tden, trows = t.integral
         vden, tinv = int_inverse(trows)
         bden, rows = self.bracket_tensor.integral
         # T^-1 [T_i, T_j] = trows^-1 [trows_i, trows_j] / tden

@@ -1,12 +1,12 @@
 """Deterministic exact linear algebra over the rationals.
 
-Matrices are immutable row-major grids of exact rationals.  A
-:class:`Subspace` and a bilinear :class:`ProductTensor` (the Lie bracket
-and the canonical product alike) keep int numerators as their only
-state, in a canonical form, so they compare equal exactly when the
-subspaces or products are equal; their scalar views (``basis``,
-``table``) are derived on first read.  Int rows are contracted by the
-one loop in :func:`int_sum`, scalar ones by :func:`accumulate`.
+A :class:`Matrix`, a :class:`Subspace` and a bilinear
+:class:`ProductTensor` (the Lie bracket and the canonical product alike)
+keep int numerators as their only state, in a canonical form, so they
+compare equal exactly when the matrices, subspaces or products are
+equal; their scalar views (``entries``, ``basis``, ``table``) are derived
+on first read.  Int rows are contracted by the one loop in
+:func:`int_sum`, scalar ones by :func:`accumulate`.
 
 The flatness kernels contract packed slots instead: :class:`PackedCells`
 turns each cell, an int vector x of length n, into the one int
@@ -18,14 +18,12 @@ residue mod 2^bits, so packing is injective on such vectors: a bounded
 residual is zero exactly when its packed int is, and two are equal
 exactly when their packed ints are.
 
-Elimination is fraction-free, over Python ints: each rational row enters
-as the integer numerators of :func:`rationals.integral`, rows are
-combined without division and then divided by their content.  Callers
-that hold integer numerators (the Lie series, the center, the perps, the
-multiplication kernels) pass int rows and grids in directly.  A subspace
-keeps its pivot rows as they come out; the scalar results of
-:func:`rref`, :func:`solve` and :func:`inverse` divide each pivot row by
-its pivot through :func:`rationals.rational`.
+Elimination is fraction-free, over Python ints: a matrix enters as its
+numerator rows and a rational vector as the integer numerators of
+:func:`rationals.integral`, rows are combined without division and then
+divided by their content.  A subspace keeps its pivot rows as they come
+out; :func:`rref` and :func:`inverse` put the pivot rows over one
+denominator, and only :func:`solve` returns scalars.
 
 Every elimination pivots on the first nonzero candidate in row-major
 order; there is no scoring or heuristics, which keeps all derived data
@@ -37,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -153,46 +152,84 @@ def int_product(rows, u, v, n: int) -> list:
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
+def _int_row(v: Sequence) -> tuple:
+    """(den, nums): v == nums / den with nums a new list of ints, over 1
+    for ints and else over the lcm denominator of :func:`rationals.integral`."""
+    if all(type(x) is int for x in v):
+        return 1, list(v)
+    return integral([x if type(x) is int else as_q(x) for x in v])
+
+
 class Matrix:
-    """Immutable rows x cols grid of exact rationals."""
+    """Immutable rows x cols grid of exact rationals.
 
-    rows: int
-    cols: int
-    entries: tuple
+    Its state is :attr:`integral` = (den, rows): rows[i] is row i as ints
+    over the one denominator den > 0, with no factor common to den and
+    every entry.  That form is unique, so two matrices of one shape are
+    equal exactly when their entries are.  Arithmetic and elimination
+    read the numerators; the scalar :attr:`entries` are derived on first
+    read.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+        """The matrix of these rows of scalars or ints; floats and bools raise TypeError."""
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
+        if any(len(row) != cols for row in entries):
+            raise ValueError("column count mismatch")
+        den, nums = _int_row(list(chain.from_iterable(entries)))
+        self.rows, self.cols = rows, cols
+        self.integral = (den, tuple(tuple(nums[i * cols:(i + 1) * cols]) for i in range(rows)))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, den: int, nums) -> "Matrix":
+        """nums / den, divided by the gcd of den and every entry unless it is 1."""
+        g = den if den == 1 else gcd(den, *chain.from_iterable(nums))
+        if g != 1:
+            den, nums = den // g, [[x // g for x in row] for row in nums]
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.integral = rows, cols, (den, tuple(map(tuple, nums)))
+        return out
+
+    @classmethod
+    def from_integral(cls, den: int, rows: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix rows / den for den > 0 and int rows of one length,
+        made canonical; no scalar is built."""
+        return cls._of(len(rows), len(rows[0]) if rows else 0, den, rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(as_q(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(as_q(x) for x in c) for c in cols]
-        nrows = len(cols[0]) if cols else 0
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("ragged columns")
-        data = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return cls(nrows, len(cols), data)
+        return cls.from_rows(cols).transpose()
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+        return cls._of(rows, cols, 1, [[0] * cols] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(unit_vector(n, i) for i in range(n)))
+        return cls._of(n, n, 1, [[int(i == k) for k in range(n)] for i in range(n)])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Matrix) and self.shape == other.shape
+                and self.integral == other.integral)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.integral))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
     # -- access ------------------------------------------------------------
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The rows as scalars, each numerator of :attr:`integral` over den."""
+        den, rows = self.integral
+        return tuple(tuple(rational(x, den) if x else ZERO for x in row) for row in rows)
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -204,96 +241,83 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list:
-        if not self.rows:
-            return [()] * self.cols
-        return list(zip(*self.entries))
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
+
+    @property
+    def shape(self) -> tuple:
+        return (self.rows, self.cols)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(map(any, self.integral[1]))
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic over the numerators ------------------------------------
 
-    def _same_shape(self, other: "Matrix"):
+    def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    # a zero operand entry costs no scalar operation
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(b if not a else a if not b else a + b
-                                  for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        (da, a), (db, b) = self.integral, other.integral
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return Matrix._of(self.rows, self.cols, den,
+                          [[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a if not b else -b if not a else a - b
-                                  for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(-a for a in row) for row in self.entries))
+        den, rows = self.integral
+        return Matrix._of(self.rows, self.cols, den, [[-x for x in row] for row in rows])
 
     def scale(self, c) -> "Matrix":
         c = as_q(c)
-        if not c:
-            return Matrix.zeros(self.rows, self.cols)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(c * a if a else ZERO for a in row)
-                            for row in self.entries))
+        den, rows = self.integral
+        return Matrix._of(self.rows, self.cols, den * c.denominator,
+                          [[c.numerator * x for x in row] for row in rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        (da, a), (db, b) = self.integral, other.integral
         # each row of the product weights the rows of other by a row of self
-        return Matrix(self.rows, other.cols,
-                      tuple(tuple(accumulate([ZERO] * other.cols, row, other.entries))
-                            for row in self.entries))
+        return Matrix._of(self.rows, other.cols, da * db,
+                          [accumulate([0] * other.cols, row, b) for row in a])
 
     def apply(self, v: Sequence) -> Vec:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(vdot(row, tuple(v)) for row in self.entries)
+        vden, nums = _int_row(v)
+        den = self.integral[0] * vden
+        out = (sum(x * y for x, y in zip(row, nums) if x) for row in self.integral[1])
+        return tuple(rational(x, den) if x else ZERO for x in out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
+        den, rows = self.integral
+        return Matrix._of(self.cols, self.rows, den,
+                          list(zip(*rows)) if rows else [()] * self.cols)
 
     def trace(self):
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc += self.entries[i][i]
-        return acc
-
-    @property
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
+        den, rows = self.integral
+        return rational(sum(row[i] for i, row in enumerate(rows)), den)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols,
-                      tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
+        (da, a), (db, b) = self.integral, other.integral
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return Matrix._of(self.rows, self.cols + other.cols, den,
+                          [[fa * x for x in ra] + [fb * y for y in rb] for ra, rb in zip(a, b)])
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return (a @ b) - (b @ a)
-
-
-def int_matrix(m: Matrix) -> tuple:
-    """(den, rows): the rows of m as lists of int numerators over the one
-    common denominator den of :func:`rationals.integral`."""
-    den, nums = integral(x for row in m.entries for x in row)
-    return den, [nums[k * m.cols:(k + 1) * m.cols] for k in range(m.rows)]
 
 
 def int_matmul(a, b) -> list:
@@ -302,28 +326,12 @@ def int_matmul(a, b) -> list:
     return [accumulate([0] * ncols, row, b) for row in a]
 
 
-def rational_matrix(den: int, rows) -> Matrix:
-    """The Matrix rows / den of square int rows, each entry converted once."""
-    n = len(rows)
-    return Matrix(n, n, tuple(tuple(rational(x, den) if x else ZERO for x in r) for r in rows))
-
-
 # ---------------------------------------------------------------------------
 # elimination
 #
 # Elimination runs over Python ints.  A row and any positive multiple of it
-# have the same reduced echelon form, so a rational row enters as the
-# integer numerators of :func:`integral` (an int row as it is), and each
-# pivot row becomes scalars once, at the end, over its pivot.
-
-def _int_row(v: Sequence) -> list:
-    """A positive multiple of v as a list of ints: v itself when its
-    entries are ints, else the numerators of its entries over their lcm
-    denominator."""
-    if all(type(x) is int for x in v):
-        return list(v)
-    return integral([x if type(x) is int else as_q(x) for x in v])[1]
-
+# have the same reduced echelon form, so a matrix enters as its numerator
+# rows and a rational row as the numerators of :func:`_int_row`.
 
 def _rref_rows(rows: list, ncols: int) -> list:
     """In-place fraction-free reduced row echelon form of int rows; returns
@@ -383,16 +391,6 @@ def _rref_rows(rows: list, ncols: int) -> list:
     return pivots
 
 
-def _reduced(rows: list, pivots: Sequence, start: int = 0) -> list:
-    """Row r of the reduced row echelon form as scalars, from column start
-    on, for each pivot row r that :func:`_rref_rows` left in rows."""
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append(tuple(rational(x, p) if x else ZERO for x in row[start:]))
-    return out
-
-
 @dataclass(frozen=True)
 class RrefResult:
     matrix: Matrix
@@ -401,14 +399,18 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    rows = [_int_row(row) for row in m.entries]
+    rows = [list(row) for row in m.integral[1]]
     pivots = _rref_rows(rows, m.cols)
-    reduced = _reduced(rows, pivots) + [(ZERO,) * m.cols] * (m.rows - len(pivots))
-    return RrefResult(Matrix(m.rows, m.cols, tuple(reduced)), tuple(pivots), len(pivots))
+    # row r over its pivot, all times the lcm of the pivots; the rows
+    # past the pivot rows are zero
+    den = lcm(1, *(row[c] for row, c in zip(rows, pivots)))
+    reduced = [[x * (den // row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return RrefResult(Matrix._of(m.rows, m.cols, den, reduced + rows[len(pivots):]),
+                      tuple(pivots), len(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows([_int_row(row) for row in m.entries], m.cols))
+    return len(_rref_rows([list(row) for row in m.integral[1]], m.cols))
 
 
 def solve(m: Matrix, b: Sequence) -> Vec:
@@ -416,16 +418,18 @@ def solve(m: Matrix, b: Sequence) -> Vec:
 
     Raises :class:`NoSolutionError` when b is outside the column span.
     """
-    b = vector(b)
-    if len(b) != m.rows:
+    bden, bs = _int_row(b)
+    if len(bs) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    rows = [_int_row((*row, bi)) for row, bi in zip(m.entries, b)]
+    # m = M / den and b = B / bden, so m x = b is bden M x = den B
+    den, mrows = m.integral
+    rows = [[bden * x for x in row] + [den * y] for row, y in zip(mrows, bs)]
     pivots = _rref_rows(rows, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         raise NoSolutionError("right-hand side not in the image")
     x = [ZERO] * m.cols
-    for c, (xc,) in zip(pivots, _reduced(rows, pivots, m.cols)):
-        x[c] = xc
+    for row, c in zip(rows, pivots):
+        x[c] = rational(row[-1], row[c])
     return tuple(x)
 
 
@@ -433,7 +437,8 @@ def int_inverse(rows: Sequence) -> tuple:
     """(den, inv): the inverse of the square matrix with these rows (scalars,
     or ints as they are) as int rows over den; raises SingularMatrixError."""
     n = len(rows)
-    work = [_int_row((*row, *(int(k == i) for k in range(n)))) for i, row in enumerate(rows)]
+    work = [_int_row((*row, *(int(k == i) for k in range(n))))[1]
+            for i, row in enumerate(rows)]
     pivots = _rref_rows(work, 2 * n)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise SingularMatrixError("matrix is singular")
@@ -442,34 +447,38 @@ def int_inverse(rows: Sequence) -> tuple:
 
 
 def inverse(m: Matrix) -> Matrix:
+    """m^-1 from one elimination of its numerators: (M / den)^-1 = den M^-1."""
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
-    return rational_matrix(*int_inverse(m.entries))
+    den, rows = m.integral
+    iden, inv = int_inverse(rows)
+    return Matrix._of(m.rows, m.rows, iden, [[den * x for x in row] for row in inv])
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Null space of m as a canonical subspace of Q^cols.
+    """Null space of m as a canonical subspace of Q^cols, from one
+    elimination of the numerators of m."""
+    return _kernel([list(row) for row in m.integral[1]], m.cols)
 
-    Entries of m that are Python ints are read as they are, so a caller
-    holding integer numerators passes them in a Matrix directly.
-    """
-    rows = [_int_row(row) for row in m.entries]
-    pivots = _rref_rows(rows, m.cols)
+
+def _kernel(rows: list, ncols: int) -> "Subspace":
+    """The null space of the int rows, which are eliminated in place."""
+    pivots = _rref_rows(rows, ncols)
     pivot_set = set(pivots)
     gens = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
         # x_f = 1 and x_c = -rows[r][f] / pivot for pivot column c of row r,
         # all times the lcm of those pivots
         used = [(c, row[c], row[f]) for row, c in zip(rows, pivots) if row[f]]
         scale = lcm(*(p for _, p, _ in used))
-        v = [0] * m.cols
+        v = [0] * ncols
         v[f] = scale
         for c, p, x in used:
             v[c] = -x * (scale // p)
         gens.append(v)
-    return Subspace.span(m.cols, gens)
+    return Subspace.span(ncols, gens)
 
 
 def common_kernel(maps: Sequence, n: int) -> "Subspace":
@@ -478,9 +487,8 @@ def common_kernel(maps: Sequence, n: int) -> "Subspace":
     Each maps[i] is a nonempty grid (a sequence of equal-length
     vectors), so a family of matrices, bracket-table rows or
     product-table columns all fit; entry (a, b) of the grids is one
-    equation.  Grids of ints (integer numerators) are eliminated as they
-    are.  The result is canonical, so the order of the equations cannot
-    change it.
+    equation, read as ints by :func:`_int_row`.  The result is
+    canonical, so the order and scale of the equations cannot change it.
     """
     if n == 0:
         return Subspace.zero(0)
@@ -489,7 +497,7 @@ def common_kernel(maps: Sequence, n: int) -> "Subspace":
                  if any(r))
     if not rows:
         return Subspace.full(n)
-    return kernel(Matrix(len(rows), n, rows))
+    return _kernel([_int_row(r)[1] for r in rows], n)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +534,7 @@ class Subspace:
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of vectors; int vectors (integer numerators) are
         eliminated as they are."""
-        rows = [_int_row(v) for v in vectors]
+        rows = [_int_row(v)[1] for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("spanning vector has wrong length")
         pivots = _rref_rows(rows, ambient_dim)
@@ -554,17 +562,17 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The basis as scalar columns, each integral row over its pivot."""
-        n = self.ambient_dim
-        cols = [tuple(rational(x, col[0][1]) if x else ZERO for x in dense(col, n))
-                for col in self.integral]
-        return Matrix(n, len(cols), tuple(zip(*cols)) if cols else ((),) * n)
+        """The basis as a Matrix: column k is integral row k over its pivot."""
+        n, cols = self.ambient_dim, self.integral
+        den = lcm(1, *(col[0][1] for col in cols))
+        cols = [dense([(k, x * (den // col[0][1])) for k, x in col], n) for col in cols]
+        return Matrix._of(n, len(cols), den, list(zip(*cols)) if cols else [()] * n)
 
     def columns(self) -> list:
         return self.basis.columns()
 
     def contains(self, v: Sequence) -> bool:
-        v = _int_row(v)
+        v = _int_row(v)[1]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         # reduce v against each column in turn, fraction-free
@@ -600,10 +608,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
     cols = [dense(c, n) for c in a.integral] + [[-x for x in dense(c, n)] for c in b.integral]
-    stacked = Matrix(n, len(cols), tuple(zip(*cols)))
-    acols = a.integral
+    acols, meet = a.integral, _kernel(list(map(list, zip(*cols))), len(cols))
     return Subspace.span(n, [int_sum(((c, acols[j]) for j, c in k if j < a.dim), n)
-                             for k in kernel(stacked).integral])
+                             for k in meet.integral])
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +723,6 @@ class ProductTensor:
                 v[k] = q(x)
             return tuple(v)
         return tuple(tuple(cell(c) for c in row) for row in rows)
-
-    @cached_property
-    def nonzeros(self) -> tuple:
-        """nonzeros[a][m] = the nonzero (k, c) of e_a o e_m."""
-        return tuple(tuple(sparse(v) for v in row) for row in self.table)
 
     @cached_property
     def max_numerator(self) -> int:

@@ -23,17 +23,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
 from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
-from .linalg import (Matrix, PackedCells, ProductTensor, Subspace, Vec,
-                     accumulate, common_kernel, commutator, dense, int_inverse,
-                     int_matmul, int_matrix, int_product, int_sum, kernel,
-                     rational_matrix, sparse, subspace_intersect, unit_vector,
-                     vdot, vector)
+from .linalg import (Matrix, PackedCells, ProductTensor, SingularMatrixError,
+                     Subspace, Vec, accumulate, common_kernel, commutator, dense,
+                     int_matmul, int_product, int_sum, inverse, kernel, sparse,
+                     subspace_intersect, unit_vector, vdot, vector)
 from .rationals import ZERO, rational
 
 
@@ -60,57 +58,40 @@ class FlatnessInvariantError(SymplieError):
 # ---------------------------------------------------------------------------
 # skew forms
 
+@dataclass(frozen=True)
 class SkewForm:
     """A bilinear form by its Gram matrix W, W[i][j] = omega(e_i, e_j).
 
-    Its state is :attr:`integral` = (den, rows): rows[k] lists the nonzero
-    (w, num) of row k of W as ints over the one denominator den > 0, with
-    no factor common to den and every num.  That form is unique, so two
-    forms are equal exactly when their Gram matrices are.  The scalar
-    :attr:`matrix` is kept when the form is built from it and derived on
-    first read when it is built by :meth:`from_integral`.
+    Its state is :attr:`matrix`, whose canonical int numerators make two
+    forms equal exactly when their Gram matrices are.  :attr:`integral`
+    = (den, rows), with rows[k] the nonzero (w, num) of row k of those
+    numerators, is derived on first read for the sparse contractions.
     """
 
-    def __init__(self, matrix: Matrix):
-        """The form with Gram matrix matrix, converted to ints once."""
-        if not matrix.is_square:
+    matrix: Matrix
+
+    def __post_init__(self):
+        if not self.matrix.is_square:
             raise ValueError("form matrix must be square")
-        den, rows = int_matrix(matrix)
-        self.integral = (den, tuple(map(sparse, rows)))
-        self.matrix = matrix
 
     @classmethod
     def from_integral(cls, den: int, rows) -> "SkewForm":
-        """The form with Gram matrix rows / den, for den > 0 and square int
-        rows, divided by their one gcd so that :attr:`integral` is
-        canonical.  No scalar is built."""
-        g = gcd(den, *(x for row in rows for x in row))
-        out = cls.__new__(cls)
-        out.integral = (den // g, tuple(sparse([x // g for x in row]) for row in rows))
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SkewForm) and self.integral == other.integral
-
-    def __hash__(self) -> int:
-        return hash(self.integral)
-
-    def __repr__(self) -> str:
-        return f"SkewForm({self.matrix!r})"
+        """The form with Gram matrix rows / den, square int rows; no scalar is built."""
+        return cls(Matrix.from_integral(den, rows))
 
     @property
     def dim(self) -> int:
-        return len(self.integral[1])
+        return self.matrix.rows
 
     @cached_property
-    def matrix(self) -> Matrix:
-        """W as scalars, each numerator of :attr:`integral` converted once."""
-        return rational_matrix(self.integral[0], self.int_rows)
+    def integral(self) -> tuple:
+        den, rows = self.matrix.integral
+        return den, tuple(map(sparse, rows))
 
     @cached_property
     def int_rows(self) -> list:
-        """The numerator rows of :attr:`integral` as dense int lists."""
-        return [dense(r, self.dim) for r in self.integral[1]]
+        """The numerator rows of :attr:`matrix` as int lists."""
+        return [list(r) for r in self.matrix.integral[1]]
 
     def pair(self, u: Sequence, v: Sequence):
         return vdot(vector(u), self.matrix.apply(vector(v)))
@@ -120,32 +101,29 @@ class SkewForm:
         return tuple(accumulate([ZERO] * self.dim, vector(u), self.matrix.entries))
 
     def is_skew(self) -> bool:
-        w = self.int_rows
+        w = self.matrix.integral[1]
         return all(w[i][j] == -w[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def is_nondegenerate(self) -> bool:
-        """Read off :attr:`int_inverse`, so a form that is then inverted is
-        eliminated once."""
+        """Read off :attr:`inverse_matrix`, so W is eliminated once."""
         try:
-            self.int_inverse
+            self.inverse_matrix
         except DegenerateFormError:
             return False
         return True
 
     @cached_property
-    def int_inverse(self) -> tuple:
-        """(den, rows): W^-1 as int rows over den, from one elimination of
-        the numerators of W."""
-        wden = self.integral[0]
-        try:
-            iden, inv = int_inverse(self.int_rows)
-        except SymplieError as exc:
-            raise DegenerateFormError("form is degenerate") from exc
-        return iden, [[wden * x for x in row] for row in inv]
-
-    @cached_property
     def inverse_matrix(self) -> Matrix:
-        return rational_matrix(*self.int_inverse)
+        """W^-1, from one elimination of the numerators of W."""
+        try:
+            return inverse(self.matrix)
+        except SingularMatrixError as exc:
+            raise DegenerateFormError("form is degenerate") from exc
+
+    @property
+    def int_inverse(self) -> tuple:
+        """(den, rows): W^-1 as int rows over den."""
+        return self.inverse_matrix.integral
 
     @cached_property
     def dual_matrix(self) -> Matrix:
@@ -158,32 +136,17 @@ class SkewForm:
 
     def int_adjoint(self, rows) -> tuple:
         """(den, rows*): f* = W^-1 f^T W as int rows over den, for the
-        endomorphism f given by int rows, from W's integral rows and the
-        numerators of W^-1."""
+        endomorphism f given by int rows, from the numerators of W and
+        W^-1."""
         iden, inv = self.int_inverse
-        return iden * self.integral[0], int_matmul(inv, int_matmul(list(zip(*rows)), self.int_rows))
+        wden, w = self.matrix.integral
+        return iden * wden, int_matmul(inv, int_matmul(list(zip(*rows)), w))
 
     def adjoint_map(self, f: Matrix) -> Matrix:
-        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W,
-        over the int numerators of f (:meth:`int_adjoint`), each entry
-        converted to a scalar once.
-
-        The last f and f* are kept, so a caller that asks again for the
-        adjoint of an equal map, through this method or
-        SymplecticLieAlgebra.adjoint, gets the same object back without
-        a second product.  The extension path no longer comes here: it
-        takes xi* from :meth:`int_adjoint` as int rows.
-        """
+        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W."""
         if f.shape != (self.dim, self.dim):
             raise ValueError("endomorphism shape mismatch")
-        last = getattr(self, "_last_adjoint", None)
-        if last is not None and last[0] == f:
-            return last[1]
-        fden, rows = int_matrix(f)
-        den, star = self.int_adjoint(rows)
-        f_star = rational_matrix(den * fden, star)
-        self._last_adjoint = (f, f_star)
-        return f_star
+        return self.inverse_matrix @ f.transpose() @ self.matrix
 
 
 class SubspaceClass(enum.Enum):
@@ -313,20 +276,15 @@ class SymplecticLieAlgebra:
 
     @cached_property
     def natural_product(self) -> ProductTensor:
-        """The always-flat product with omega(nat_u v, w) = omega(v, [w,u])."""
+        """The always-flat product with omega(nat_u v, w) = omega(v, [w,u]).
+
+        omega(v, [w,u]) = -omega(v, ad_u w) = -omega(ad_u* v, w), so
+        nat_u = -ad_u*, and column j of nat_{e_i} is nat_{e_i} e_j.
+        """
         n = self.dim
-        om = self.form.matrix
-        dual = self.form.dual_matrix
-        table = self.algebra.table
-        rows = []
-        for i in range(n):
-            cells = []
-            for j in range(n):
-                omrow_j = om.row(j)
-                phi = [vdot(omrow_j, table[w][i]) for w in range(n)]
-                cells.append(dual.apply(phi))
-            rows.append(tuple(cells))
-        return ProductTensor(n, tuple(rows))
+        return ProductTensor(n, tuple(
+            tuple(self.adjoint(-self.algebra.ad(unit_vector(n, i))).columns())
+            for i in range(n)))
 
     def left_mult(self, u: Sequence) -> Matrix:
         return self.canonical_product.left(u)
@@ -487,8 +445,8 @@ def perp(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> Subspace:
     rows = []
     for col in f.integral:
         c = dense(col, n)
-        rows.append(tuple(sum(x * c[w] for w, x in gram_k) for gram_k in gram))
-    return kernel(Matrix(len(rows), n, tuple(rows)))
+        rows.append([sum(x * c[w] for w, x in gram_k) for gram_k in gram])
+    return kernel(Matrix.from_integral(1, rows))
 
 
 def classify_subspace(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> SubspaceClass:
@@ -803,24 +761,16 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
 
 def change_of_basis(s: SymplecticLieAlgebra, t: Matrix,
                     names: Sequence[str] | None = None) -> SymplecticLieAlgebra:
-    """The same structure written in the basis given by the columns of t.
+    """The same structure written in the basis given by the columns of t:
+    the bracket by :meth:`LieAlgebra.change_of_basis` and the Gram
+    matrix T^T W T as one int product over the numerators.
 
     The result is valid whenever s is and t is invertible, so it is not
     validated again; a singular t raises SingularMatrixError.
     """
     if t.shape != (s.dim, s.dim):
         raise ValueError("change of basis matrix has wrong shape")
-    return int_change_of_basis(s, *int_matrix(t), names)
-
-
-def int_change_of_basis(s: SymplecticLieAlgebra, tden: int, trows,
-                        names: Sequence[str] | None = None) -> SymplecticLieAlgebra:
-    """:func:`change_of_basis` for t = trows / tden, given as square int
-    rows: the bracket by :meth:`LieAlgebra.int_change_of_basis` and the
-    Gram matrix T^T W T as one int product over wden tden^2, kept as
-    numerators by :meth:`SkewForm.from_integral`."""
-    wden, _ = s.form.integral
-    tw = int_matmul(list(zip(*trows)), s.form.int_rows)
-    return SymplecticLieAlgebra(s.algebra.int_change_of_basis(tden, trows, names),
-                                SkewForm.from_integral(wden * tden * tden,
-                                                       int_matmul(tw, trows)))
+    (tden, trows), (wden, w) = t.integral, s.form.matrix.integral
+    tw = int_matmul(list(zip(*trows)), w)
+    form = SkewForm.from_integral(wden * tden * tden, int_matmul(tw, trows))
+    return SymplecticLieAlgebra(s.algebra.change_of_basis(t, names), form)

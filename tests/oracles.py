@@ -31,8 +31,12 @@ parse_rational, a dense Matrix for omega and LieAlgebra.from_sparse, as
 the library did before documents were read straight to numerators.  The
 ``int_sum_*`` flatness kernels are the unpacked int loops, one
 :func:`int_sum` of length n per residual, that the library ran before
-its flatness kernels moved to packed slots.
+its flatness kernels moved to packed slots.  The ``fraction_matrix_*``
+functions are the Matrix methods and elimination entry points as they
+ran when a Matrix kept scalar entries, before it kept int numerators.
 """
+
+from math import lcm
 
 import sympy
 
@@ -41,16 +45,23 @@ from symplie.extension import (AdmissibilityReport, AdmissiblePair,
                                EquationCheck, NotFlatError, ReductionStep)
 from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
                          LowerCentralSeries)
-from symplie.linalg import (Matrix, Subspace, accumulate, common_kernel,
-                            commutator, int_inverse, int_matmul, int_matrix,
+from symplie.linalg import (Matrix, NoSolutionError, RrefResult, SingularMatrixError,
+                            Subspace, _rref_rows, accumulate, common_kernel,
+                            commutator, int_inverse, int_matmul,
                             int_product, int_sum, inverse, is_zero_vector, kernel,
-                            solve, sparse, subspace_intersect, unit_vector, vector)
-from symplie.rationals import (ONE, THIRD, ZERO, Q, RationalSyntaxError,
-                               parse_rational, qstr, rational)
+                            solve, sparse, subspace_intersect, unit_vector, vdot,
+                            vector)
+from symplie.rationals import (ONE, THIRD, ZERO, Q, RationalSyntaxError, as_q,
+                               integral, parse_rational, qstr, rational)
 from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor, SkewForm,
                                 StructuralReport, SymplecticLieAlgebra,
                                 classify_subspace, curvature_residuals, perp,
                                 validate_symplectic)
+
+
+def nonzero_cells(p: ProductTensor) -> tuple:
+    """nonzero_cells(p)[a][m] = the nonzero (k, c) of e_a o e_m, from the table."""
+    return tuple(tuple(sparse(v) for v in row) for row in p.table)
 
 
 def sparse_sum(terms) -> dict:
@@ -58,7 +69,7 @@ def sparse_sum(terms) -> dict:
     sequence of nonzero (k, d); entries that cancel stay, as zeros.
 
     The sparse counterpart of :func:`accumulate`, for rows read from
-    :attr:`ProductTensor.nonzeros`.
+    :func:`nonzero_cells`.
     """
     acc = {}
     for c, row in terms:
@@ -314,7 +325,7 @@ def fraction_first_curvature_violation(product: ProductTensor, table):
     """The first pair (i, j), i < j, with a nonzero curvature residual,
     each residual one sparse sum of scalars over the nonzero entries."""
     n = product.dim
-    nz = product.nonzeros
+    nz = nonzero_cells(product)
     for i in range(n):
         left_i = nz[i]
         for j in range(i + 1, n):
@@ -332,7 +343,7 @@ def fraction_first_curvature_violation(product: ProductTensor, table):
 def fraction_associators(p: ProductTensor) -> tuple:
     """Every (e_i o e_j) o e_k - e_i o (e_j o e_k) as a sparse sum of scalars."""
     n = p.dim
-    nz = p.nonzeros
+    nz = nonzero_cells(p)
 
     def entry(i, j, k):
         acc = sparse_sum([(c, nz[a][k]) for a, c in nz[i][j]]
@@ -667,7 +678,7 @@ def rational_lie_change_of_basis(algebra, t: Matrix, names=None) -> LieAlgebra:
     if t.shape != (n, n):
         raise ValueError("change of basis matrix has wrong shape")
     vden, tinv = int_inverse(t.entries)
-    tden, trows = int_matrix(t)
+    tden, trows = t.integral
     bden, rows = algebra.bracket_tensor.integral
     den = vden * tden * tden * bden
     names = tuple(f"y{k + 1}" for k in range(n)) if names is None else names
@@ -692,8 +703,7 @@ def fraction_inverse_double_extend(s, e=None) -> ReductionStep:
     and the adapted algebra comes from the dense change of basis.  The
     e-coefficient of b_p o b_q in the adapted canonical product is
     omega_B(xi(b_p), b_q), so column p of xi is the dual of that covector,
-    and b0 is 3 (ebar o ebar) in base coordinates.  No check is made; the
-    int rows of the returned step are int_matrix of its scalars.
+    and b0 is 3 (ebar o ebar) in base coordinates.  No check is made.
     """
     n2 = s.dim
     n = n2 - 2
@@ -714,8 +724,7 @@ def fraction_inverse_double_extend(s, e=None) -> ReductionStep:
     xi = Matrix.from_cols(xi_cols) if xi_cols else Matrix.zeros(0, 0)
     b0 = tuple(3 * x for x in product[n + 1][n + 1][1:1 + n])
     return ReductionStep(base=base, pair=AdmissiblePair(xi, b0), e=e, ebar=ebar,
-                         transform=t, transform_integral=int_matrix(t),
-                         pair_integral=int_matrix(xi.hstack(Matrix.from_cols([b0]))))
+                         transform=t)
 
 
 # ---------------------------------------------------------------------------
@@ -848,3 +857,154 @@ def int_sum_associators(p: ProductTensor) -> tuple:
         tuple(int_sum([(c, rows[a][k]) for a, c in rows[i][j]]
                       + [(-c, rows[i][b]) for b, c in rows[j][k]], n))
         for k in range(n)) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the Matrix that held scalars
+#
+# The bodies of the Matrix methods and of the elimination entry points as
+# they ran when a Matrix kept its entries as scalars, with self renamed to
+# the first argument; they read the scalar view ``entries``.
+
+def _fraction_int_row(v) -> list:
+    """A positive multiple of v as a list of ints: v itself when its
+    entries are ints, else the numerators of its entries over their lcm
+    denominator."""
+    if all(type(x) is int for x in v):
+        return list(v)
+    return integral([x if type(x) is int else as_q(x) for x in v])[1]
+
+
+def _fraction_reduced(rows: list, pivots, start: int = 0) -> list:
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append(tuple(rational(x, p) if x else ZERO for x in row[start:]))
+    return out
+
+
+def _fraction_same_shape(a: Matrix, other: Matrix):
+    if a.shape != other.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {other.shape}")
+
+
+def fraction_matrix_add(a: Matrix, other: Matrix) -> Matrix:
+    _fraction_same_shape(a, other)
+    return Matrix(a.rows, a.cols,
+                  tuple(tuple(b if not x else x if not b else x + b
+                              for x, b in zip(r1, r2))
+                        for r1, r2 in zip(a.entries, other.entries)))
+
+
+def fraction_matrix_sub(a: Matrix, other: Matrix) -> Matrix:
+    _fraction_same_shape(a, other)
+    return Matrix(a.rows, a.cols,
+                  tuple(tuple(x if not b else -b if not x else x - b
+                              for x, b in zip(r1, r2))
+                        for r1, r2 in zip(a.entries, other.entries)))
+
+
+def fraction_matrix_neg(a: Matrix) -> Matrix:
+    return Matrix(a.rows, a.cols,
+                  tuple(tuple(-x for x in row) for row in a.entries))
+
+
+def fraction_matrix_scale(a: Matrix, c) -> Matrix:
+    c = as_q(c)
+    if not c:
+        return Matrix.zeros(a.rows, a.cols)
+    return Matrix(a.rows, a.cols,
+                  tuple(tuple(c * x if x else ZERO for x in row)
+                        for row in a.entries))
+
+
+def fraction_matrix_matmul(a: Matrix, other: Matrix) -> Matrix:
+    if a.cols != other.rows:
+        raise ValueError(f"shape mismatch: {a.shape} @ {other.shape}")
+    # each row of the product weights the rows of other by a row of a
+    return Matrix(a.rows, other.cols,
+                  tuple(tuple(accumulate([ZERO] * other.cols, row, other.entries))
+                        for row in a.entries))
+
+
+def fraction_matrix_apply(a: Matrix, v) -> tuple:
+    if len(v) != a.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(vdot(row, tuple(v)) for row in a.entries)
+
+
+def fraction_matrix_transpose(a: Matrix) -> Matrix:
+    return Matrix(a.cols, a.rows,
+                  tuple(a.col(j) for j in range(a.cols)))
+
+
+def fraction_matrix_trace(a: Matrix):
+    if not a.is_square:
+        raise ValueError("trace of a non-square matrix")
+    acc = ZERO
+    for i in range(a.rows):
+        acc += a.entries[i][i]
+    return acc
+
+
+def fraction_matrix_hstack(a: Matrix, other: Matrix) -> Matrix:
+    if a.rows != other.rows:
+        raise ValueError("row count mismatch in hstack")
+    return Matrix(a.rows, a.cols + other.cols,
+                  tuple(r1 + r2 for r1, r2 in zip(a.entries, other.entries)))
+
+
+def fraction_matrix_rref(m: Matrix) -> RrefResult:
+    rows = [_fraction_int_row(row) for row in m.entries]
+    pivots = _rref_rows(rows, m.cols)
+    reduced = _fraction_reduced(rows, pivots) + [(ZERO,) * m.cols] * (m.rows - len(pivots))
+    return RrefResult(Matrix(m.rows, m.cols, tuple(reduced)), tuple(pivots), len(pivots))
+
+
+def fraction_matrix_solve(m: Matrix, b) -> tuple:
+    b = vector(b)
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    rows = [_fraction_int_row((*row, bi)) for row, bi in zip(m.entries, b)]
+    pivots = _rref_rows(rows, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        raise NoSolutionError("right-hand side not in the image")
+    x = [ZERO] * m.cols
+    for c, (xc,) in zip(pivots, _fraction_reduced(rows, pivots, m.cols)):
+        x[c] = xc
+    return tuple(x)
+
+
+def fraction_matrix_inverse(m: Matrix) -> Matrix:
+    if not m.is_square:
+        raise ValueError("inverse of a non-square matrix")
+    rows = m.entries
+    n = len(rows)
+    work = [_fraction_int_row((*row, *(int(k == i) for k in range(n))))
+            for i, row in enumerate(rows)]
+    pivots = _rref_rows(work, 2 * n)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise SingularMatrixError("matrix is singular")
+    den = lcm(*(row[c] for row, c in zip(work, pivots)))
+    inv = [[x * (den // row[c]) for x in row[n:]] for row, c in zip(work, pivots)]
+    return Matrix(n, n, tuple(tuple(rational(x, den) if x else ZERO for x in r) for r in inv))
+
+
+def fraction_matrix_kernel(m: Matrix) -> Subspace:
+    rows = [_fraction_int_row(row) for row in m.entries]
+    pivots = _rref_rows(rows, m.cols)
+    pivot_set = set(pivots)
+    gens = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        # x_f = 1 and x_c = -rows[r][f] / pivot for pivot column c of row r,
+        # all times the lcm of those pivots
+        used = [(c, row[c], row[f]) for row, c in zip(rows, pivots) if row[f]]
+        scale = lcm(*(p for _, p, _ in used))
+        v = [0] * m.cols
+        v[f] = scale
+        for c, p, x in used:
+            v[c] = -x * (scale // p)
+        gens.append(v)
+    return Subspace.span(m.cols, gens)

@@ -10,7 +10,7 @@ from symplie.extension import (AdmissiblePair, NotAdmissibleError,
                                inverse_double_extend, nilpotency_trace_report,
                                reduction_tower, symplectic_reduce, tower_pairs,
                                tower_transform, zero_symplectic)
-from symplie.linalg import Matrix, Subspace, int_matrix, rational_matrix, unit_vector
+from symplie.linalg import Matrix, Subspace, unit_vector
 from symplie.rationals import Q
 from symplie.symplectic import (InvalidSymplecticError, SkewForm,
                                 SymplecticLieAlgebra, change_of_basis,
@@ -137,12 +137,12 @@ class TestDoubleExtend:
         base_name, pair = next(pt for pt in points if not pt[1].xi.is_zero())
         base = entries[base_name].algebra
         base = SymplecticLieAlgebra(base.algebra, base.form)
-        xden, xs = int_matrix(pair.xi)
+        xden, xs = pair.xi.integral
         double_extend(base, pair)
-        stars = [out for rows, out in calls if rows == xs]
+        stars = [out for rows, out in calls if rows == [list(r) for r in xs]]
         assert len(stars) == 1
         den, star = stars[0]
-        assert rational_matrix(den * xden, star) \
+        assert Matrix.from_integral(den * xden, star) \
             == base.form.inverse_matrix @ pair.xi.transpose() @ base.form.matrix
 
     def test_inadmissible_candidate_really_breaks(self, entries):

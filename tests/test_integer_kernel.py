@@ -21,7 +21,7 @@ from symplie import catalog
 from symplie.catalog import admissible_family, family_names, family_parameter_grid
 from symplie.extension import build_extension_candidate
 from symplie.lie import LieAlgebra
-from symplie.linalg import Matrix, ProductTensor
+from symplie.linalg import Matrix, ProductTensor, sparse
 from symplie.rationals import Q, rational
 from symplie.symplectic import (SkewForm, SymplecticLieAlgebra,
                                 first_curvature_violation, symplectic_violations)
@@ -36,12 +36,13 @@ def fresh_parts(algebra, form):
 def assert_integral_exact(p: ProductTensor, label=None):
     den, rows = p.integral
     assert type(den) is int and den > 0, label
-    denominators = [int(c.denominator) for row in p.nonzeros for cell in row
+    cells = [[sparse(v) for v in row] for row in p.table]
+    denominators = [int(c.denominator) for row in cells for cell in row
                     for _, c in cell]
     assert den == math.lcm(1, *denominators), label
     for a in range(p.dim):
         for m in range(p.dim):
-            assert [k for k, _ in rows[a][m]] == [k for k, _ in p.nonzeros[a][m]], label
+            assert [k for k, _ in rows[a][m]] == [k for k, _ in cells[a][m]], label
             for k, num in rows[a][m]:
                 assert type(num) is int, label
                 assert rational(num, den) == p.table[a][m][k], label

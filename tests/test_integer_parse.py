@@ -18,7 +18,7 @@ from oracles import fraction_document_to_parts
 from symplie import cli, linalg
 from symplie.documents import (DocumentError, algebra_to_document, document_to_parts,
                                dumps_document)
-from symplie.linalg import ProductTensor
+from symplie.linalg import Matrix, ProductTensor
 from symplie.symplectic import SkewForm, change_of_basis, h_vector
 from test_sparse_kernels import dense_bases, dense_change_of_basis
 
@@ -125,7 +125,7 @@ def test_verify_derives_no_scalar_view(entries, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(ProductTensor, "table", refuse("table"))
     monkeypatch.setattr(ProductTensor, "associators", refuse("associators"))
-    monkeypatch.setattr(SkewForm, "matrix", refuse("form matrix"))
+    monkeypatch.setattr(Matrix, "entries", refuse("matrix entries"))
     assert cli.main(["verify", path]) == 0
     out = capsys.readouterr().out
     assert "flat: yes" in out and "FAIL" not in out

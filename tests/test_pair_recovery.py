@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from oracles import fraction_inverse_double_extend
 from symplie import catalog, extension
-from symplie.extension import (ExtensionInvariantError, check_admissible,
+from symplie.extension import (AdmissiblePair, ExtensionInvariantError, check_admissible,
                                inverse_double_extend, reduction_tower, tower_pairs)
 from symplie.lie import LieAlgebra
-from symplie.linalg import Matrix, ProductTensor, rank, rational_matrix
-from symplie.rationals import ZERO, Q
+from symplie.linalg import Matrix, ProductTensor, rank
+from symplie.rationals import ZERO, Q, integral
 from symplie.symplectic import SkewForm, SymplecticLieAlgebra, change_of_basis
 from test_sparse_kernels import dense_bases
 
@@ -38,12 +38,6 @@ def assert_same_step(s, label, e=None):
     ref = fraction_inverse_double_extend(fresh(s), e)
     assert got == ref, label
     assert got.base.form.matrix == ref.base.form.matrix, label
-    # the int rows the step keeps for the tower stand for its scalars
-    assert rational_matrix(*got.transform_integral) == got.transform, label
-    pden, rows = got.pair_integral
-    n = got.base.dim
-    assert rational_matrix(pden, [row[:n] for row in rows]) == got.pair.xi, label
-    assert tuple(Q(row[n], pden) for row in rows) == got.pair.b0, label
     return got
 
 
@@ -106,13 +100,13 @@ def test_tower_builds_no_adapted_product_and_no_table(monkeypatch):
     """reduction_tower and tower_pairs compute the canonical product of no
     adapted algebra and derive no scalar product or bracket table."""
     adapted, products, tables = [], [], []
-    make = extension.int_change_of_basis
+    make = extension.change_of_basis
 
     def spy(*args):
         out = make(*args)
         adapted.append(out)
         return out
-    monkeypatch.setattr(extension, "int_change_of_basis", spy)
+    monkeypatch.setattr(extension, "change_of_basis", spy)
     record(monkeypatch, SymplecticLieAlgebra, "canonical_product", products)
     record(monkeypatch, ProductTensor, "table", tables)
     moved = dense_bases({name: catalog.get(name) for name in ("r3_h3", "g6_3")}, seeds=1)
@@ -131,11 +125,14 @@ def test_tower_builds_no_adapted_product_and_no_table(monkeypatch):
 def perturb(monkeypatch, change):
     """Let change(xden, xs, bden, bs) alter the recovered pair before the
     split checks it."""
-    rows = extension._int_pair_rows
+    rows = extension._pair_rows
 
-    def perturbed(base, xden, xs, bden, bs):
-        return rows(base, *change(xden, [list(r) for r in xs], bden, list(bs)))
-    monkeypatch.setattr(extension, "_int_pair_rows", perturbed)
+    def perturbed(base, pair):
+        (xden, xs), (bden, bs) = pair.xi.integral, integral(pair.b0)
+        xden, xs, bden, bs = change(xden, [list(r) for r in xs], bden, list(bs))
+        return rows(base, AdmissiblePair(Matrix.from_integral(xden, xs),
+                                         [Q(b, bden) for b in bs]))
+    monkeypatch.setattr(extension, "_pair_rows", perturbed)
 
 
 def test_perturbed_xi_is_not_admissible(monkeypatch):
