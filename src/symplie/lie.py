@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
-from .linalg import (Matrix, ProductTensor, Subspace, Vec, common_kernel, dense,
+from .linalg import (Matrix, ProductTensor, Subspace, Vec, dense,
                      int_inverse, int_matmul, int_product, int_sum, is_zero_vector,
                      sparse)
 from .rationals import as_q, rational
@@ -155,10 +155,7 @@ class LieAlgebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        # ad_u = sum_i u_i ad_{e_i}, and rows[i] lists the columns of ad_{e_i}
-        n = self.dim
-        _, rows = self.bracket_tensor.integral
-        return common_kernel([[dense(cell, n) for cell in row] for row in rows], n)
+        return self.bracket_tensor.left_kernel()
 
     def derived_subspace(self) -> Subspace:
         return self._derived_subspace
@@ -167,15 +164,15 @@ class LieAlgebra:
     def _derived_subspace(self) -> Subspace:
         n = self.dim
         _, rows = self.bracket_tensor.integral
-        return Subspace.span(n, [dense(rows[i][j], n) for i in range(n)
-                                 for j in range(i + 1, n)])
+        return Subspace.from_integral(n, [dense(rows[i][j], n) for i in range(n)
+                                          for j in range(i + 1, n)])
 
     def _bracket_span(self, pairs) -> Subspace:
         """The span of [u, v] over the pairs (u, v), each vector given by
         its nonzero (k, num), in one elimination over ints."""
         n = self.dim
         _, rows = self.bracket_tensor.integral
-        return Subspace.span(n, [int_product(rows, u, v, n) for u, v in pairs])
+        return Subspace.from_integral(n, [int_product(rows, u, v, n) for u, v in pairs])
 
     def lower_central_series(self) -> "LowerCentralSeries":
         """C^1 = g, C^{k+1} = [g, C^k], listed until it stabilizes.

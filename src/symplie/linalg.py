@@ -29,6 +29,17 @@ Every elimination pivots on the first nonzero candidate in row-major
 order; there is no scoring or heuristics, which keeps all derived data
 (kernels, solved coordinates, canonical bases) reproducible.  The reduced
 echelon form is unique, so they equal what Gauss-Jordan over Q gives.
+
+Each canonical subspace costs one elimination.  A kernel eliminates its
+equations with the columns reversed, so each reduced row is nonzero only
+at its pivot column c and at free columns before c.  The generator of
+free column f, x_f = 1 and x_c = -row[f] / row[c], is then nonzero only
+at f and at pivot columns after f: the generators, in order of f and
+divided by their content, are already the reduced echelon rows of the
+kernel.  The annihilator of a subspace, {y : y . v = 0 for v in it}, is
+the kernel of its reduced echelon rows, which is read off them in the
+same way with no elimination, and A meet B is the one kernel of the
+annihilators of A and B stacked.
 """
 
 from __future__ import annotations
@@ -458,27 +469,39 @@ def inverse(m: Matrix) -> Matrix:
 def kernel(m: Matrix) -> "Subspace":
     """Null space of m as a canonical subspace of Q^cols, from one
     elimination of the numerators of m."""
-    return _kernel([list(row) for row in m.integral[1]], m.cols)
+    return _kernel([list(row[::-1]) for row in m.integral[1]], m.cols)
+
+
+def _solution_rows(rows: list, pivots: list, ncols: int) -> list:
+    """The null space generators of int rows in reduced echelon form with
+    these pivot columns, one per free column f in decreasing order:
+    x_f = 1 and x_c = -row[f] / row[c] for the pivot column c of each row,
+    times the lcm of those pivots.  Each is listed as its nonzero
+    (ncols-1-k, x_k) with k decreasing, so the columns come out mirrored."""
+    last, pivot_set, out = ncols - 1, set(pivots), []
+    for f in range(last, -1, -1):
+        if f in pivot_set:
+            continue
+        # the rows come in increasing pivot order, so reversed, the mirrored
+        # indices increase
+        used = [(c, row[c], row[f]) for row, c in zip(rows, pivots) if row[f]][::-1]
+        scale = lcm(*(p for _, p, _ in used))
+        out.append([(last - f, scale)] + [(last - c, -x * (scale // p)) for c, p, x in used])
+    return out
 
 
 def _kernel(rows: list, ncols: int) -> "Subspace":
-    """The null space of the int rows, which are eliminated in place."""
+    """The null space of int rows whose entry j is the coefficient of
+    x_(ncols-1-j), eliminated in place.  Mirrored back by
+    :func:`_solution_rows`, the generators are the canonical rows once
+    divided by their content (module docstring)."""
     pivots = _rref_rows(rows, ncols)
-    pivot_set = set(pivots)
-    gens = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        # x_f = 1 and x_c = -rows[r][f] / pivot for pivot column c of row r,
-        # all times the lcm of those pivots
-        used = [(c, row[c], row[f]) for row, c in zip(rows, pivots) if row[f]]
-        scale = lcm(*(p for _, p, _ in used))
-        v = [0] * ncols
-        v[f] = scale
-        for c, p, x in used:
-            v[c] = -x * (scale // p)
-        gens.append(v)
-    return Subspace.span(ncols, gens)
+    gens = _solution_rows(rows, pivots, ncols)
+    for i, gen in enumerate(gens):
+        g = gcd(*(x for _, x in gen))
+        if g != 1:
+            gens[i] = [(k, x // g) for k, x in gen]
+    return Subspace._of(ncols, tuple(map(tuple, gens)))
 
 
 def common_kernel(maps: Sequence, n: int) -> "Subspace":
@@ -490,14 +513,9 @@ def common_kernel(maps: Sequence, n: int) -> "Subspace":
     equation, read as ints by :func:`_int_row`.  The result is
     canonical, so the order and scale of the equations cannot change it.
     """
-    if n == 0:
-        return Subspace.zero(0)
     # an all-zero equation constrains nothing
-    rows = tuple(r for r in zip(*[[x for cells in m for x in cells] for m in maps])
-                 if any(r))
-    if not rows:
-        return Subspace.full(n)
-    return _kernel([_int_row(r)[1] for r in rows], n)
+    rows = [r for r in zip(*[[x for cells in m for x in cells] for m in maps]) if any(r)]
+    return _kernel([_int_row(r[::-1])[1] for r in rows], n)
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +533,14 @@ class Subspace:
     """
 
     def __init__(self, ambient_dim: int, basis: Matrix):
-        """The subspace with this reduced column echelon basis, converted to
-        ints once; any other basis raises ValueError."""
+        """The subspace with this reduced column echelon basis, read from
+        its numerators; any other basis raises ValueError."""
         if basis.rows != ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
-        cols = [integral(c)[1] for c in basis.columns()]
-        self.ambient_dim, self.integral = ambient_dim, tuple(map(sparse, cols))
-        if Subspace.span(ambient_dim, cols) != self:
+        cols = [list(c) for c in zip(*basis.integral[1])]
+        self.ambient_dim = ambient_dim
+        self.integral = Subspace.from_integral(ambient_dim, cols).integral
+        if self.basis != basis:
             raise ValueError("basis is not in reduced column echelon form")
 
     @classmethod
@@ -537,6 +556,12 @@ class Subspace:
         rows = [_int_row(v)[1] for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("spanning vector has wrong length")
+        return cls.from_integral(ambient_dim, rows)
+
+    @classmethod
+    def from_integral(cls, ambient_dim: int, rows: list) -> "Subspace":
+        """The span of int lists of length ambient_dim, which are
+        eliminated in place; no scalar is built."""
         pivots = _rref_rows(rows, ambient_dim)
         # each pivot row is primitive with a positive pivot
         return cls._of(ambient_dim, tuple(sparse(row) for row in rows[:len(pivots)]))
@@ -596,21 +621,20 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    return Subspace.span(n, [dense(c, n) for c in a.integral + b.integral])
+    return Subspace.from_integral(n, [dense(c, n) for c in a.integral + b.integral])
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked system [A | -B], with the
-    columns of A and B as their integral numerators."""
+    """The one kernel of the annihilators of a and b, each read off its
+    reduced echelon rows by :func:`_solution_rows`, which mirrors the
+    columns as :func:`_kernel` takes them."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    cols = [dense(c, n) for c in a.integral] + [[-x for x in dense(c, n)] for c in b.integral]
-    acols, meet = a.integral, _kernel(list(map(list, zip(*cols))), len(cols))
-    return Subspace.span(n, [int_sum(((c, acols[j]) for j, c in k if j < a.dim), n)
-                             for k in meet.integral])
+    return _kernel([dense(y, n) for s in (a, b) for y in _solution_rows(
+        [dense(c, n) for c in s.integral], [c[0][0] for c in s.integral], n)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -816,3 +840,27 @@ class ProductTensor:
 
     def is_zero(self) -> bool:
         return not any(cell for row in self.integral[1] for cell in row)
+
+    def left_kernel(self) -> Subspace:
+        """{u : u o x = 0 for all x}: sum_i u_i (e_i o e_j)_k = 0, one
+        equation per nonzero (j, k) of :attr:`integral`."""
+        return self._side_kernel(False)
+
+    def right_kernel(self) -> Subspace:
+        """{u : x o u = 0 for all x}, as :meth:`left_kernel` with the
+        factors swapped."""
+        return self._side_kernel(True)
+
+    def _side_kernel(self, right: bool) -> Subspace:
+        n = self.dim
+        last, eqs = n - 1, {}
+        for a, row in enumerate(self.integral[1]):
+            for m, cell in enumerate(row):
+                # u_i weights e_i o e_j, or e_j o e_i on the right
+                i, j = (m, a) if right else (a, m)
+                for k, x in cell:
+                    eq = eqs.get((j, k))
+                    if eq is None:
+                        eq = eqs[j, k] = [0] * n
+                    eq[last - i] = x
+        return _kernel(list(eqs.values()), n)

@@ -539,12 +539,9 @@ class MultiplicationKernels(NamedTuple):
 
 def multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernels:
     n = s.dim
-    _, rows = s.canonical_product.integral
-    table = [[dense(cell, n) for cell in row] for row in rows]
-    # L_u = sum_i u_i L_{e_i}, and table[i] lists the columns of L_{e_i}
-    return MultiplicationKernels(common_kernel(table, n),
-                                 common_kernel(list(zip(*table)), n),
-                                 Subspace.span(n, [v for row in table for v in row]))
+    p = s.canonical_product
+    return MultiplicationKernels(p.left_kernel(), p.right_kernel(), Subspace.from_integral(
+        n, [dense(cell, n) for row in p.integral[1] for cell in row if cell]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ the library did before documents were read straight to numerators.  The
 its flatness kernels moved to packed slots.  The ``fraction_matrix_*``
 functions are the Matrix methods and elimination entry points as they
 ran when a Matrix kept scalar entries, before it kept int numerators.
+``respan_kernel``, ``respan_common_kernel``, ``three_elimination_intersect``,
+``grid_center`` and ``grid_multiplication_kernels`` are the kernels as
+they ran before each canonical subspace came from one elimination.
 """
 
 from math import lcm
@@ -46,17 +49,17 @@ from symplie.extension import (AdmissibilityReport, AdmissiblePair,
 from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
                          LowerCentralSeries)
 from symplie.linalg import (Matrix, NoSolutionError, RrefResult, SingularMatrixError,
-                            Subspace, _rref_rows, accumulate, common_kernel,
-                            commutator, int_inverse, int_matmul,
+                            Subspace, _int_row, _rref_rows, accumulate, common_kernel,
+                            commutator, dense, int_inverse, int_matmul,
                             int_product, int_sum, inverse, is_zero_vector, kernel,
                             solve, sparse, subspace_intersect, unit_vector, vdot,
                             vector)
 from symplie.rationals import (ONE, THIRD, ZERO, Q, RationalSyntaxError, as_q,
                                integral, parse_rational, qstr, rational)
-from symplie.symplectic import (Claim, FlatnessChecks, ProductTensor, SkewForm,
-                                StructuralReport, SymplecticLieAlgebra,
-                                classify_subspace, curvature_residuals, perp,
-                                validate_symplectic)
+from symplie.symplectic import (Claim, FlatnessChecks, MultiplicationKernels,
+                                ProductTensor, SkewForm, StructuralReport,
+                                SymplecticLieAlgebra, classify_subspace,
+                                curvature_residuals, perp, validate_symplectic)
 
 
 def nonzero_cells(p: ProductTensor) -> tuple:
@@ -1008,3 +1011,84 @@ def fraction_matrix_kernel(m: Matrix) -> Subspace:
             v[c] = -x * (scale // p)
         gens.append(v)
     return Subspace.span(m.cols, gens)
+
+
+# ---------------------------------------------------------------------------
+# the kernels that eliminated twice
+#
+# The bodies of _kernel, common_kernel, subspace_intersect, the center and
+# multiplication_kernels as they ran before each canonical subspace came
+# from one elimination: _kernel made its generators canonical with a
+# second elimination (Subspace.span), subspace_intersect eliminated three
+# times, and the center and the multiplication kernels went through
+# common_kernel's transposed dense grids.  Only the names of the called
+# copies are changed.
+
+def respan_kernel(rows: list, ncols: int) -> Subspace:
+    """The null space of the int rows, which are eliminated in place."""
+    pivots = _rref_rows(rows, ncols)
+    pivot_set = set(pivots)
+    gens = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        # x_f = 1 and x_c = -rows[r][f] / pivot for pivot column c of row r,
+        # all times the lcm of those pivots
+        used = [(c, row[c], row[f]) for row, c in zip(rows, pivots) if row[f]]
+        scale = lcm(*(p for _, p, _ in used))
+        v = [0] * ncols
+        v[f] = scale
+        for c, p, x in used:
+            v[c] = -x * (scale // p)
+        gens.append(v)
+    return Subspace.span(ncols, gens)
+
+
+def respan_common_kernel(maps, n: int) -> Subspace:
+    """{u in Q^n : sum_i u_i maps[i] = 0} as a canonical subspace.
+
+    Each maps[i] is a nonempty grid (a sequence of equal-length
+    vectors), so a family of matrices, bracket-table rows or
+    product-table columns all fit; entry (a, b) of the grids is one
+    equation, read as ints by :func:`_int_row`.  The result is
+    canonical, so the order and scale of the equations cannot change it.
+    """
+    if n == 0:
+        return Subspace.zero(0)
+    # an all-zero equation constrains nothing
+    rows = tuple(r for r in zip(*[[x for cells in m for x in cells] for m in maps])
+                 if any(r))
+    if not rows:
+        return Subspace.full(n)
+    return respan_kernel([_int_row(r)[1] for r in rows], n)
+
+
+def three_elimination_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection via the kernel of the stacked system [A | -B], with the
+    columns of A and B as their integral numerators."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    n = a.ambient_dim
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(n)
+    cols = [dense(c, n) for c in a.integral] + [[-x for x in dense(c, n)] for c in b.integral]
+    acols, meet = a.integral, respan_kernel(list(map(list, zip(*cols))), len(cols))
+    return Subspace.span(n, [int_sum(((c, acols[j]) for j, c in k if j < a.dim), n)
+                             for k in meet.integral])
+
+
+def grid_center(algebra) -> Subspace:
+    # ad_u = sum_i u_i ad_{e_i}, and rows[i] lists the columns of ad_{e_i}
+    n = algebra.dim
+    _, rows = algebra.bracket_tensor.integral
+    return respan_common_kernel([[dense(cell, n) for cell in row] for row in rows], n)
+
+
+def grid_multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernels:
+    n = s.dim
+    _, rows = s.canonical_product.integral
+    table = [[dense(cell, n) for cell in row] for row in rows]
+    # L_u = sum_i u_i L_{e_i}, and table[i] lists the columns of L_{e_i}
+    return MultiplicationKernels(respan_common_kernel(table, n),
+                                 respan_common_kernel(list(zip(*table)), n),
+                                 Subspace.span(n, [v for row in table for v in row]))
