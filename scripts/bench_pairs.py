@@ -21,8 +21,9 @@ change stays within the metric's bound.  ``--claim W:METRIC:FACTOR``
 also states whether the change's median is at least FACTOR times the
 parent's (in the metric's better direction), wins at least 9 pairs in
 10, and moves the median by more than the parent's interquartile range.
-``--traced SEED`` adds one ``--trace 1`` run per side and workload, and
-records its per-layer metrics.
+``--traced SEED`` adds TRACED_RUNS ``--trace 1`` runs per side and
+workload on seeds SEED, SEED+1, ..., alternating as the pairs do, and
+records the median of each per-layer metric over each side's runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ["perfbench/run.py"]
 WIN_SHARE = 0.9      # a claim needs the change to win this share of the pairs
+TRACED_RUNS = 3      # traced runs per side and workload
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +116,17 @@ def judge_claim(metric: dict, factor: float) -> dict:
     }
 
 
+def median_layers(results: list) -> dict:
+    """A result whose metrics are the medians of the metrics that every
+    one of results (perfbench/run.py results of one side) has."""
+    names = [name for name in results[0]["metrics"]
+             if all(name in r["metrics"] for r in results)]
+    return {"metrics": {name: {"value": statistics.median(
+        r["metrics"][name]["value"] for r in results)} for name in names}}
+
+
 def traced_layers(parent: dict, change: dict) -> dict:
-    """Per-layer metrics of one traced run per side, side by side."""
+    """Per-layer metrics of one traced result per side, side by side."""
     return {name: {"parent": round(parent["metrics"][name]["value"], 4),
                    "change": round(change["metrics"][name]["value"], 4)}
             for name in parent["metrics"] if name in change["metrics"]}
@@ -138,14 +149,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
 
 
 def run_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
-              seconds: float) -> tuple:
+              seconds: float, trace: int = 0) -> tuple:
     """(parent results, change results, environment) over alternating pairs."""
     results = {parent: [], change: []}
     env = None
     for k in range(pairs):
         order = (parent, change) if k % 2 == 0 else (change, parent)
         for side in order:
-            env, result = run_once(side, workload, seed + k, seconds)
+            env, result = run_once(side, workload, seed + k, seconds, trace)
             results[side].append(result)
             print(f"{workload} pair {k} {'parent' if side == parent else 'change'}: "
                   f"correct={result['correct']} "
@@ -179,7 +190,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", action="append", default=[],
                         help="WORKLOAD:METRIC:FACTOR, a claimed gain to judge")
     parser.add_argument("--traced", type=int, metavar="SEED",
-                        help="also one traced run per side and workload")
+                        help=f"also {TRACED_RUNS} traced runs per side and workload, "
+                             "on seeds SEED onwards")
     parser.add_argument("--change-note", default="", help="recorded as change")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -212,12 +224,15 @@ def main(argv=None) -> int:
         out["claims"].append({"workload": workload, "metric": metric, **judged})
     if args.traced is not None:
         out["traced"] = {
-            "command": f"python3 {' '.join(RUN)} --workload W --seed {args.traced} "
+            "command": f"python3 {' '.join(RUN)} --workload W --seed N "
                        f"--seconds {seconds} --trace 1",
-            "runs": "one per side, parent first",
-            "per_item": {w: traced_layers(run_once(parent, w, args.traced, seconds, 1)[1],
-                                          run_once(ROOT, w, args.traced, seconds, 1)[1])
-                         for w in args.workload}}
+            "seeds": list(range(args.traced, args.traced + TRACED_RUNS)),
+            "runs": f"{TRACED_RUNS} per side, alternating as the pairs; "
+                    "each layer's median over a side's runs",
+            "per_item": {}}
+        for w in args.workload:
+            p, c, _ = run_pairs(parent, ROOT, w, TRACED_RUNS, args.traced, seconds, trace=1)
+            out["traced"]["per_item"][w] = traced_layers(median_layers(p), median_layers(c))
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for claim in out["claims"]:
         print(f"claim {claim['workload']} {claim['metric']}: "

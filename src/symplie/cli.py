@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import platform
 import sys
 from pathlib import Path
 
-from . import catalog
+from . import __version__, catalog
 from .documents import (DocumentError, algebra_to_document, document_to_algebra,
                         document_to_pair, dumps_document, literals_to_pair,
                         pair_to_document, parse_document, tower_to_document)
@@ -27,7 +28,7 @@ from .extension import (NotAdmissibleError, NotAnIdealError, NotFlatError,
                         TrivialCenterError, double_extend, inverse_double_extend,
                         reduction_tower, tower_pairs)
 from .lie import InvalidLieAlgebraError
-from .rationals import RationalSyntaxError, parse_literal, parse_rational, qstr
+from .rationals import Q, RationalSyntaxError, parse_literal, parse_rational, qstr
 from .symplectic import InvalidSymplecticError, structural_report
 
 _INPUT_ERRORS = (DocumentError, InvalidSymplecticError, InvalidLieAlgebraError,
@@ -182,6 +183,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.auto and args.center_index is not None:
+        raise ValueError("give --center-index or --auto, not both")
     s, label = _load_input(args, "reduce")
     if args.auto:
         steps = reduction_tower(s)
@@ -276,6 +279,9 @@ def _build_parser() -> _Parser:
     """The one parser of the process; parse_args keeps no state in it."""
     parser = _Parser(prog="symplie",
                      description="Exact tools for flat symplectic Lie algebras.")
+    parser.add_argument("--version", action="version", version=(
+        f"symplie {__version__} (scalars: {Q.__module__}.{Q.__qualname__}, "
+        f"Python {platform.python_version()})"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p, positional: bool):
@@ -334,6 +340,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:
+        # --help and --version print and stop the parser
+        return exc.code or 0
     try:
         rc = args.func(args)
         # a closed pipe shows here, not in the interpreter's last flush

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
-from .linalg import (Matrix, ProductTensor, Subspace, Vec, dense,
+from .linalg import (Matrix, PackedCells, ProductTensor, Subspace, Vec, dense,
                      int_inverse, int_matmul, int_product, int_sum, is_zero_vector,
                      sparse)
 from .rationals import as_q, rational
@@ -121,22 +121,29 @@ class LieAlgebra:
     def validate(self) -> tuple:
         """All Jacobi violations on basis triples i < j < k (empty = valid).
 
-        The sum is one :func:`int_sum` over the integer rows of the
-        bracket's :attr:`ProductTensor.integral`, so it is den^2 times the
-        residual; only a failing triple's residual becomes scalars.
+        Each triple's sum is one packed int over the bracket's
+        :class:`PackedCells`, den^2 times the residual, whose components
+        are sums of at most 3n products of two numerators; only a failing
+        triple is summed again by :func:`int_sum` for its residual.
         """
         n = self.dim
-        den, rows = self.bracket_tensor.integral
+        tensor = self.bracket_tensor
+        den, rows = tensor.integral
+        p = PackedCells(tensor, 3 * n * tensor.max_numerator ** 2).cells
         out = []
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                    acc = int_sum([(c, rows[a][m]) for cell, m in ((rows[i][j], k),
-                                   (rows[j][k], i), (rows[k][i], j)) for a, c in cell], n)
-                    if any(acc):
-                        res = tuple(rational(x, den * den) for x in acc)
-                        out.append(JacobiViolation((i, j, k), res))
+                    cells = ((rows[i][j], k), (rows[j][k], i), (rows[k][i], j))
+                    acc = 0
+                    for cell, m in cells:
+                        for a, c in cell:
+                            acc += c * p[a][m]
+                    if acc:
+                        res = int_sum([(c, rows[a][m]) for cell, m in cells for a, c in cell], n)
+                        out.append(JacobiViolation((i, j, k),
+                                                   tuple(rational(x, den * den) for x in res)))
         return tuple(out)
 
     def require_valid(self) -> "LieAlgebra":

@@ -8,15 +8,26 @@ equal; their scalar views (``entries``, ``basis``, ``table``) are derived
 on first read.  Int rows are contracted by the one loop in
 :func:`int_sum`, scalar ones by :func:`accumulate`.
 
-The flatness kernels contract packed slots instead: :class:`PackedCells`
-turns each cell, an int vector x of length n, into the one int
+The flatness kernels, the Jacobi test, the canonical product and the
+structural report's zero tests contract packed slots instead:
+:func:`pack` (and :class:`PackedCells`, for every cell of a tensor) turns
+an int vector x of length n into the one int
 sum_k x_k 2^(k bits) (Kronecker substitution), so that a residual
 sum_t c_t v_t costs one big-int multiply-add per term instead of n.
-With bits = bound.bit_length() + 1 each component |x_k| <= bound lies
+With bits = :func:`slot_bits` (bound) = bound.bit_length() + 1 each component |x_k| <= bound lies
 in [-2^(bits-1), 2^(bits-1)), where the lowest slot is read back as the
 residue mod 2^bits, so packing is injective on such vectors: a bounded
 residual is zero exactly when its packed int is, and two are equal
 exactly when their packed ints are.
+
+The same holds for a residual over pairs (m, k), m, k < n, packed at slot
+m n + k: that is one packing with n^2 slots.  A packed int is the value
+at t = 2^bits of the polynomial sum_s x_s t^s, so packing is linear and
+multiplicative: if y = sum_m y_m t^(m n) (slots n apart) and
+z = sum_k z_k t^k, then y z = sum y_m z_k t^(m n + k), and no two (m, k)
+share an exponent.  A sum of such products therefore packs the residual
+sum y_m z_k whole, and only its n^2 components, not the factors or the
+partial sums, need to lie within the bound.
 
 Elimination is fraction-free, over Python ints: a matrix enters as its
 numerator rows and a rational vector as the integer numerators of
@@ -640,35 +651,46 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # bilinear product tensors
 
+def slot_bits(bound: int) -> int:
+    """The slot width that packs every |x_k| <= bound exactly."""
+    return bound.bit_length() + 1
+
+
+def pack(pairs, bits: int) -> int:
+    """sum_k x_k 2^(k bits) over the (k, x_k) of pairs."""
+    acc = 0
+    for k, x in pairs:
+        acc += x << (k * bits)
+    return acc
+
+
+def unpack(x: int, n: int, bits: int) -> list:
+    """The int vector of length n, |x_k| < 2^(bits-1), packed as x by
+    :func:`pack`: slot k is read back as the residue mod 2^bits nearest 0."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for _ in range(n):
+        out.append(((x + half) & mask) - half)
+        x = (x - out[-1]) >> bits
+    return out
+
+
 class PackedCells:
     """cells[a][m] = sum_k num_k 2^(k bits) over the cell (k, num) of a
     tensor's :attr:`ProductTensor.integral`, with bits =
-    bound.bit_length() + 1: exact for int vectors with |x_k| <= bound, as
+    :func:`slot_bits` (bound): exact for int vectors with |x_k| <= bound, as
     the module docstring shows.  :meth:`unpack` reads one back."""
 
     __slots__ = ("dim", "bits", "cells")
 
     def __init__(self, tensor: "ProductTensor", bound: int):
-        n, bits = tensor.dim, bound.bit_length() + 1
-        self.dim, self.bits = n, bits
-        cells = []
-        for row in tensor.integral[1]:
-            for cell in row:
-                acc = 0
-                for k, x in cell:
-                    acc += x << (k * bits)
-                cells.append(acc)
-        self.cells = tuple(tuple(cells[a * n:(a + 1) * n]) for a in range(n))
+        self.dim, self.bits = tensor.dim, slot_bits(bound)
+        self.cells = tuple(tuple(pack(cell, self.bits) for cell in row)
+                           for row in tensor.integral[1])
 
     def unpack(self, x: int) -> tuple:
         """The int vector of length dim, |x_k| < 2^(bits-1), packed as x."""
-        bits = self.bits
-        half, mask = 1 << (bits - 1), (1 << bits) - 1
-        out = []
-        for _ in range(self.dim):
-            out.append(((x + half) & mask) - half)
-            x = (x - out[-1]) >> bits
-        return tuple(out)
+        return tuple(unpack(x, self.dim, self.bits))
 
 
 def _integral_rows(grid) -> tuple:

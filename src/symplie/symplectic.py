@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
@@ -30,8 +31,9 @@ from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, PackedCells, ProductTensor, SingularMatrixError,
                      Subspace, Vec, accumulate, common_kernel, commutator, dense,
-                     int_matmul, int_product, int_sum, inverse, kernel, sparse,
-                     subspace_intersect, unit_vector, vdot, vector)
+                     int_matmul, int_product, int_sum, inverse, kernel, pack,
+                     slot_bits, sparse, subspace_intersect, unit_vector, unpack,
+                     vdot, vector)
 from .rationals import ZERO, rational
 
 
@@ -257,20 +259,29 @@ class SymplecticLieAlgebra:
 
     @cached_property
     def canonical_product(self) -> ProductTensor:
-        """The torsion-free symplectic product described in the module docstring."""
+        """The torsion-free symplectic product described in the module
+        docstring.  Column w of W^-1's numerators is packed over k
+        (:func:`linalg.pack`), so a cell -sum_w phi_w inv[k][w] is n
+        big-int multiply-adds, unpacked once; each slot is at most
+        2n max|inv| max|c|."""
         n = self.dim
         # the dual matrix -W^-1 is -inv / iden
         iden, inv = self.form.int_inverse
-        inv = [sparse(r) for r in inv]
         # c[i][j][w] = cden * omega([e_i, e_j], e_w)
         cden, c = self.omega_brackets
+        bound = 2 * n * max((abs(x) for r in inv for x in r), default=0) * max(
+            (abs(x) for row in c for cell in row for x in cell), default=0)
+        bits = slot_bits(bound)
+        cols = [pack(enumerate(col), bits) for col in zip(*inv)]
         # e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / (3 cden)
         rows = []
-        for i in range(n):
+        for ci in c:
             cells = []
-            for j in range(n):
-                phi = [c[i][j][w] + c[i][w][j] for w in range(n)]
-                cells.append(sparse([-sum(x * phi[w] for w, x in inv_k) for inv_k in inv]))
+            for j, cij in enumerate(ci):
+                acc = 0
+                for w, col in enumerate(cols):
+                    acc -= (cij[w] + ci[w][j]) * col
+                cells.append(sparse(unpack(acc, n, bits)) if acc else ())
             rows.append(cells)
         return ProductTensor.from_integral(n, 3 * cden * iden, rows)
 
@@ -380,30 +391,35 @@ def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
 
 def _first_curvature_violation(product: ProductTensor,
                                bracket: ProductTensor) -> Optional[tuple]:
-    """first_curvature_violation with the bracket as a tensor.  Each
-    residual is one packed int, summed over the nonzero entries; its
-    components are at most n den mb mp + 2n bden mp^2 for the largest
-    |numerators| mp and mb of the product and the bracket."""
+    """first_curvature_violation with the bracket as a tensor.
+
+    The residual of a pair (i, j) at every (m, k) is one int, packed at
+    slot m n + k as the :mod:`linalg` docstring shows:
+    den sum_a c rowp[a] + bden sum_k (p[j][k] col[i][k] - p[i][k] col[j][k]),
+    where rowp[a] packs e_a o e_m over (m, k), p[a][k] packs e_a o e_k
+    over its components and col[i][k] packs (e_i o e_m)_k over m at stride
+    n bits.  Its components are at most n den mb mp + 2n bden mp^2 for the
+    largest |numerators| mp and mb of the product and the bracket.
+    """
     den, nz = product.integral
     bden, br = bracket.integral
     n, mp, mb = product.dim, product.max_numerator, bracket.max_numerator
-    p = PackedCells(product, n * den * mb * mp + 2 * n * bden * mp * mp).cells
+    packing = PackedCells(product, n * den * mb * mp + 2 * n * bden * mp * mp)
+    p, stride = packing.cells, n * packing.bits
+    rowp = [den * pack(enumerate(row), stride) for row in p]
+    col = [[0] * n for _ in range(n)]
+    for i, row in enumerate(nz):
+        for m, cell in enumerate(row):
+            for k, x in cell:
+                col[i][k] += bden * x << (m * stride)
     for i in range(n):
-        pi, nzi = p[i], nz[i]
+        pi, ci = p[i], col[i]
         for j in range(i + 1, n):
-            pj, nzj, bij = p[j], nz[j], br[i][j]
-            for m in range(n):
-                # den^2 * bden times the residual at e_m
-                b = 0
-                for a, c in bij:
-                    b += c * p[a][m]
-                r = 0
-                for k, c in nzi[m]:
-                    r += c * pj[k]
-                for k, c in nzj[m]:
-                    r -= c * pi[k]
-                if den * b + bden * r:
-                    return (i, j)
+            r = sum(map(mul, p[j], ci)) - sum(map(mul, pi, col[j]))
+            for a, c in br[i][j]:
+                r += c * rowp[a]
+            if r:
+                return (i, j)
     return None
 
 
@@ -687,12 +703,25 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     claim("right_trace_identity", True,
           all(right_traces[i] * bden == -ad_traces[i] * pden for i in range(n)),
           "tr R_u = -tr ad_u")
+    # The claims on [g,g]-perp below test packed residuals (PackedCells).
+    # With l1 the largest L1 norm of its columns, their components are at
+    # most l1 (3 bden mp + 2 pden mb) for the operator identities, l1^2 mp
+    # for the products and n l1^2 mb^2 for ad_u ad_v.
+    mp, mb = p.max_numerator, alg.bracket_tensor.max_numerator
+    l1 = max((sum(abs(x) for _, x in u) for u in dcols), default=0)
+    bound = l1 * (3 * bden * mp + 2 * pden * mb + l1 * (mp + n * mb * mb))
+    pp, pb = PackedCells(p, bound), PackedCells(alg.bracket_tensor, bound)
+
+    def packed(cells, u, right=False):
+        """u o e_m (e_m o u if right) packed, for every m."""
+        return [sum(x * (cells[m][i] if right else cells[i][m]) for i, x in u)
+                for m in range(n)]
+    lefts = [packed(pp.cells, u) for u in dcols]
+    ads = [packed(pb.cells, u) for u in dcols]
     # L_u = (2/3) ad_u and R_u = -(1/3) ad_u, column by column, times 3 pden bden
     ok = all(3 * bden * x == 2 * pden * y and 3 * bden * z == -pden * y
-             for u in dcols for m in units
-             for x, y, z in zip(int_product(prows, u, m, n),
-                                int_product(brows, u, m, n),
-                                int_product(prows, m, u, n)))
+             for u, lu, au in zip(dcols, lefts, ads)
+             for x, y, z in zip(lu, au, packed(pp.cells, u, True)))
     claim("derived_perp_operator_identities", True, ok,
           "L_u = (2/3) ad_u and R_u = -(1/3) ad_u on [g,g]-perp")
 
@@ -720,13 +749,20 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     claim("flat_h_vanishes", flat, not any(h))
     claim("flat_h_in_derived_meet_perp", flat,
           flat and derived.contains(h) and dperp.contains(h))
-    ok = flat and not any(any(int_product(prows, u, v, n))
-                          for u in dcols for v in dcols)
+    ok = flat and not any(sum(x * lu[j] for j, x in v) for lu in lefts for v in dcols)
     claim("flat_derived_perp_products_vanish", flat, ok)
-    # ad_u ad_v = 0 iff [u, x] = 0 for every x = [v, e_k]
-    ad_rows = [sparse(int_product(brows, v, e, n)) for v in dcols for e in units]
-    ok = flat and not any(any(int_product(brows, u, x, n))
-                          for u in dcols for x in ad_rows)
+
+    def ad_cols(v):
+        """[v, e_k]_j packed over k at stride n bits, for every j."""
+        out = [0] * n
+        for i, x in v:
+            for k, cell in enumerate(brows[i]):
+                for j, y in cell:
+                    out[j] += x * y << (k * n * pb.bits)
+        return out
+    # [u, [v, e_k]]_l = sum_j [v, e_k]_j [u, e_j]_l, packed at slot k n + l
+    ok = flat and not any(sum(map(mul, cols, au)) for cols in map(ad_cols, dcols)
+                          for au in ads)
     claim("flat_derived_perp_ad_compose_zero", flat, ok)
     ncols = nl.integral
     ok = flat and all(nl.contains(int_product(prows, e, v, n))

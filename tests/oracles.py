@@ -37,6 +37,11 @@ ran when a Matrix kept scalar entries, before it kept int numerators.
 ``respan_kernel``, ``respan_common_kernel``, ``three_elimination_intersect``,
 ``grid_center`` and ``grid_multiplication_kernels`` are the kernels as
 they ran before each canonical subspace came from one elimination.
+``n4_canonical_product``, ``int_sum_validate`` and
+``per_m_first_curvature_violation`` are the canonical product, the Jacobi
+test and the curvature loop as they ran before their residuals were
+packed whole: n^2 small multiply-adds per product cell, one int_sum per
+Jacobi triple and one packed residual per (i, j, m).
 """
 
 from math import lcm
@@ -48,7 +53,8 @@ from symplie.extension import (AdmissibilityReport, AdmissiblePair,
                                EquationCheck, NotFlatError, ReductionStep)
 from symplie.lie import (DerivedSeries, JacobiViolation, LieAlgebra,
                          LowerCentralSeries)
-from symplie.linalg import (Matrix, NoSolutionError, RrefResult, SingularMatrixError,
+from symplie.linalg import (Matrix, NoSolutionError, PackedCells, RrefResult,
+                            SingularMatrixError,
                             Subspace, _int_row, _rref_rows, accumulate, common_kernel,
                             commutator, dense, int_inverse, int_matmul,
                             int_product, int_sum, inverse, is_zero_vector, kernel,
@@ -1092,3 +1098,83 @@ def grid_multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernel
     return MultiplicationKernels(respan_common_kernel(table, n),
                                  respan_common_kernel(list(zip(*table)), n),
                                  Subspace.span(n, [v for row in table for v in row]))
+
+
+# ---------------------------------------------------------------------------
+# the front half of flatness before its last loops were packed
+
+# The bodies of SymplecticLieAlgebra.canonical_product, LieAlgebra.validate
+# and _first_curvature_violation as they ran before the canonical product
+# packed W^-1 by columns, the Jacobi test packed the bracket, and the
+# curvature loop packed each pair's residual over (m, k): n^2 small
+# multiply-adds per product cell, one int_sum per Jacobi triple, and one
+# packed residual per (i, j, m).  Only self is renamed to the first argument.
+
+def n4_canonical_product(s) -> ProductTensor:
+    """The torsion-free symplectic product described in the module docstring."""
+    n = s.dim
+    # the dual matrix -W^-1 is -inv / iden
+    iden, inv = s.form.int_inverse
+    inv = [sparse(r) for r in inv]
+    # c[i][j][w] = cden * omega([e_i, e_j], e_w)
+    cden, c = s.omega_brackets
+    # e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / (3 cden)
+    rows = []
+    for i in range(n):
+        cells = []
+        for j in range(n):
+            phi = [c[i][j][w] + c[i][w][j] for w in range(n)]
+            cells.append(sparse([-sum(x * phi[w] for w, x in inv_k) for inv_k in inv]))
+        rows.append(cells)
+    return ProductTensor.from_integral(n, 3 * cden * iden, rows)
+
+
+def int_sum_validate(algebra) -> tuple:
+    """All Jacobi violations on basis triples i < j < k (empty = valid).
+
+    The sum is one :func:`int_sum` over the integer rows of the
+    bracket's :attr:`ProductTensor.integral`, so it is den^2 times the
+    residual; only a failing triple's residual becomes scalars.
+    """
+    n = algebra.dim
+    den, rows = algebra.bracket_tensor.integral
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+                acc = int_sum([(c, rows[a][m]) for cell, m in ((rows[i][j], k),
+                               (rows[j][k], i), (rows[k][i], j)) for a, c in cell], n)
+                if any(acc):
+                    res = tuple(rational(x, den * den) for x in acc)
+                    out.append(JacobiViolation((i, j, k), res))
+    return tuple(out)
+
+
+def per_m_first_curvature_violation(product: ProductTensor,
+                                    bracket: ProductTensor):
+    """first_curvature_violation with the bracket as a tensor.  Each
+    residual is one packed int, summed over the nonzero entries; its
+    components are at most n den mb mp + 2n bden mp^2 for the largest
+    |numerators| mp and mb of the product and the bracket."""
+    den, nz = product.integral
+    bden, br = bracket.integral
+    n, mp, mb = product.dim, product.max_numerator, bracket.max_numerator
+    p = PackedCells(product, n * den * mb * mp + 2 * n * bden * mp * mp).cells
+    for i in range(n):
+        pi, nzi = p[i], nz[i]
+        for j in range(i + 1, n):
+            pj, nzj, bij = p[j], nz[j], br[i][j]
+            for m in range(n):
+                # den^2 * bden times the residual at e_m
+                b = 0
+                for a, c in bij:
+                    b += c * p[a][m]
+                r = 0
+                for k, c in nzi[m]:
+                    r += c * pj[k]
+                for k, c in nzj[m]:
+                    r -= c * pi[k]
+                if den * b + bden * r:
+                    return (i, j)
+    return None

@@ -87,3 +87,27 @@ def test_traced_layers():
     got = bench_pairs.traced_layers(result(1, 2.123456), result(3, 4.0))
     assert got == {"items_per_s": {"parent": 1, "change": 3},
                    "item_p50_ms": {"parent": 2.1235, "change": 4.0}}
+
+
+def test_traced_medians(monkeypatch):
+    """--traced runs TRACED_RUNS alternating traced runs per side and
+    records each layer's median; a layer missing from one run is left out."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, seed, trace))
+        layers = {"layer.self_ms": {"value": seed * (2 if checkout.name == "c" else 1)}}
+        if seed != 8:
+            layers["rare.calls"] = {"value": 1}
+        return {"python": "3"}, {"correct": True, "metrics": layers}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    parent, change, _ = bench_pairs.run_pairs(Path("p"), Path("c"), "sweep",
+                                              bench_pairs.TRACED_RUNS, 7, 1.0, trace=1)
+    assert calls == [("p", 7, 1), ("c", 7, 1), ("c", 8, 1), ("p", 8, 1),
+                     ("p", 9, 1), ("c", 9, 1)]
+    got = bench_pairs.traced_layers(bench_pairs.median_layers(parent),
+                                    bench_pairs.median_layers(change))
+    assert got == {"layer.self_ms": {"parent": 8, "change": 16}}
+    runs = [{"metrics": {"x": {"value": v}}} for v in (5.0, 1.0, 3.5)]
+    assert bench_pairs.median_layers(runs) == {"metrics": {"x": {"value": 3.5}}}

@@ -1,12 +1,13 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from symplie import cli
+from symplie import __version__, cli
 from symplie.documents import dumps_document, parse_document
 from symplie.extension import ExtensionInvariantError
 from symplie.symplectic import DegenerateFormError, FlatnessInvariantError
@@ -259,6 +260,16 @@ class TestReduce:
         assert f"--center-index {index} is out of range" in err
         assert "the center dimension 4 allows 0..3" in err
 
+    @pytest.mark.parametrize("index", ["0", "7"])
+    def test_center_index_with_auto(self, capsys, index):
+        """--auto picks its own center vectors, so an index given with it,
+        in range or not, is refused before any work."""
+        rc, out, err = run(capsys, "reduce", "--catalog", "g6_3", "--auto",
+                           "--center-index", index)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: give --center-index or --auto, not both\n"
+
     def test_non_flat_input(self, capsys):
         rc, _, err = run(capsys, "reduce", "--catalog", "aff1")
         assert rc == 2
@@ -490,3 +501,12 @@ class TestParserReuse:
                            "--out", str(base))
         assert rc == 0 and out == "" and err == ""
         assert parse_document(base.read_text())["dim"] == 2
+
+
+def test_version(capsys):
+    """--version names the package version, the scalar backend and the
+    Python version, and main returns 0 without raising SystemExit."""
+    rc, out, err = run(capsys, "--version")
+    assert rc == 0 and err == ""
+    assert out == (f"symplie {__version__} (scalars: fractions.Fraction, "
+                   f"Python {platform.python_version()})\n")
