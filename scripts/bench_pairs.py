@@ -17,7 +17,8 @@ Per workload and per end-to-end metric of BENCHMARK.json the file gets
 every run's value, the median and the quartiles of each side over the
 runs (``statistics.quantiles(n=4, method='inclusive')``), the relative change
 of the medians, the number of pairs the change wins and whether the
-change stays within the metric's bound.  ``--claim W:METRIC:FACTOR``
+change stays within the metric's bound; stdout gets one row of these per
+workload and metric.  ``--claim W:METRIC:FACTOR``
 also states whether the change's median is at least FACTOR times the
 parent's (in the metric's better direction), wins at least 9 pairs in
 10, and moves the median by more than the parent's interquartile range.
@@ -114,6 +115,22 @@ def judge_claim(metric: dict, factor: float) -> dict:
         "result": f"{p['median']} -> {c['median']} ({ratio:.2f}x), {wins}/{pairs} pairs, "
                   f"parent quartiles {p['q1']}-{p['q3']}",
     }
+
+
+def metric_rows(workloads: dict) -> list:
+    """One line per workload and end-to-end metric of a comparison: the
+    parent's median and quartiles, the change's median, their ratio, the
+    pairs the change wins and whether it stays within the bound."""
+    rows = []
+    for workload, result in workloads.items():
+        for name, m in result["metrics"].items():
+            p, c = m["parent"], m["change"]
+            ratio = f"{c['median'] / p['median']:.3f}" if p["median"] else "-"
+            rows.append(f"{workload} {name}: parent {p['median']} "
+                        f"(q1 {p['q1']}, q3 {p['q3']}), change {c['median']}, "
+                        f"ratio {ratio}, wins {m['change_wins']}, "
+                        f"{'within' if m['within_bound'] else 'OUTSIDE'} bound")
+    return rows
 
 
 def median_layers(results: list) -> dict:
@@ -234,6 +251,8 @@ def main(argv=None) -> int:
             p, c, _ = run_pairs(parent, ROOT, w, TRACED_RUNS, args.traced, seconds, trace=1)
             out["traced"]["per_item"][w] = traced_layers(median_layers(p), median_layers(c))
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for row in metric_rows(out["workloads"]):
+        print(row)
     for claim in out["claims"]:
         print(f"claim {claim['workload']} {claim['metric']}: "
               f"{'met' if claim['met'] else 'NOT met'}: {claim['result']}")

@@ -29,7 +29,10 @@ from .symplectic import (ProductTensor, SkewForm, SymplecticLieAlgebra,
 
 
 class UnknownNameError(SymplieError, KeyError):
-    pass
+    """No catalog entry or family has this name.  A KeyError, but its
+    message prints as given, not quoted as a key."""
+
+    __str__ = Exception.__str__
 
 
 class ConstraintViolatedError(SymplieError):
@@ -267,15 +270,21 @@ def fingerprint(algebra) -> Fingerprint:
         algebra = algebra.algebra
     center = algebra.center()
     derived = algebra.derived_subspace()
+    # dim(Z meet D) is the smaller dimension when one contains the other,
+    # and else dim Z + dim D - dim(Z + D)
+    if derived.is_subspace_of(center):
+        meet = derived.dim
+    elif center.is_subspace_of(derived):
+        meet = center.dim
+    else:
+        meet = center.dim + derived.dim - subspace_sum(center, derived).dim
     return Fingerprint(
         dim=algebra.dim,
         lower_central_dims=algebra.lower_central_series().dims,
         derived_series_dims=algebra.derived_series().dims,
         center_dim=center.dim,
         derived_dim=derived.dim,
-        # dim(Z meet D) = dim Z + dim D - dim(Z + D)
-        center_meets_derived_dim=(center.dim + derived.dim
-                                  - subspace_sum(center, derived).dim),
+        center_meets_derived_dim=meet,
     )
 
 

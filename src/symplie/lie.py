@@ -4,13 +4,15 @@ A :class:`LieAlgebra` holds its bracket as a :class:`ProductTensor`,
 int numerators over one denominator; the scalar ``table[i][j] = [e_i,
 e_j]`` is that tensor's view, derived on first read.  The sparse and
 integral constructors accept only the ``i < j`` half and fill in the
-rest, so antisymmetry holds by construction; the Jacobi identity is the
-only axiom left to check.
+rest, so antisymmetry holds by construction, and a full table that is
+not antisymmetric is rejected; the Jacobi identity is the only axiom left
+to check.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
@@ -42,9 +44,16 @@ class LieAlgebra:
 
     def __init__(self, basis_names: Sequence[str], table):
         """table[i][j] = [e_i, e_j] as coordinates, converted once to the
-        bracket tensor."""
+        bracket tensor; raises ValueError unless [e_j, e_i] = -[e_i, e_j]."""
         names = tuple(basis_names)
-        self._set(names, ProductTensor(len(names), table))
+        tensor = ProductTensor(len(names), table)
+        rows = tensor.integral[1]
+        for i, row in enumerate(rows):
+            for j in range(i + 1):
+                if rows[j][i] != tuple((k, -x) for k, x in row[j]):
+                    raise ValueError(f"bracket table is not antisymmetric: "
+                                     f"[e_{j}, e_{i}] != -[e_{i}, e_{j}]")
+        self._set(names, tensor)
 
     def _set(self, names: tuple, tensor: ProductTensor) -> None:
         if len(set(names)) != len(names):
@@ -76,17 +85,23 @@ class LieAlgebra:
     def from_integral(cls, names: Sequence[str], den: int,
                       brackets: Mapping[tuple, Sequence]) -> "LieAlgebra":
         """Build from ``{(i, j): ((k, num), ...)}`` with ``i < j`` (0-based):
-        [e_i, e_j] = sum of num e_k / den, with k increasing, through
-        :meth:`ProductTensor.from_integral`, so no scalar is built."""
+        [e_i, e_j] = sum of num e_k / den, with k increasing, for den > 0.
+
+        The canonical tensor is built in one pass over the given half: den
+        and the numerators are divided by their one gcd, and each cell is
+        divided, cleared of zeros and negated once.  No scalar is built.
+        """
         names = tuple(names)
         n = len(names)
+        g = gcd(den, *[x for cell in brackets.values() for _, x in cell])
         rows = [[()] * n for _ in range(n)]
         for (i, j), cell in brackets.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+            cell = tuple((k, x // g) for k, x in cell if x)
             rows[i][j] = cell
             rows[j][i] = tuple((k, -x) for k, x in cell)
-        return cls._of(names, ProductTensor.from_integral(n, den, rows))
+        return cls._of(names, ProductTensor._of(n, den // g, tuple(map(tuple, rows))))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieAlgebra) and self.basis_names == other.basis_names
@@ -172,7 +187,7 @@ class LieAlgebra:
         n = self.dim
         _, rows = self.bracket_tensor.integral
         return Subspace.from_integral(n, [dense(rows[i][j], n) for i in range(n)
-                                          for j in range(i + 1, n)])
+                                          for j in range(i + 1, n) if rows[i][j]])
 
     def _bracket_span(self, pairs) -> Subspace:
         """The span of [u, v] over the pairs (u, v), each vector given by
@@ -186,7 +201,9 @@ class LieAlgebra:
 
         The nilpotency class is the smallest k with C^{k+1} = 0 (so the
         zero algebra has class 0 and a nonzero abelian algebra class 1),
-        or None when the series stabilizes at a nonzero term.
+        or None when the series stabilizes at a nonzero term.  A term in
+        the center is followed by zero without a bracket span: [g, C] = 0
+        exactly when C lies in the center.
         """
         return self._lower_central_series
 
@@ -197,13 +214,15 @@ class LieAlgebra:
         nxt = self.derived_subspace()  # C^2 = [g, g]
         while nxt != terms[-1]:
             terms.append(nxt)
-            nxt = self._bracket_span((e, v) for e in units for v in nxt.integral)
+            nxt = (Subspace.zero(self.dim) if nxt.is_subspace_of(self.center()) else
+                   self._bracket_span((e, v) for e in units for v in nxt.integral))
         nilpotent = terms[-1].dim == 0
         cls: Optional[int] = len(terms) - 1 if nilpotent else None
         return LowerCentralSeries(tuple(terms), cls)
 
     def derived_series(self) -> "DerivedSeries":
-        """D^1 = [g, g], D^{k+1} = [D^k, D^k], until it stabilizes."""
+        """D^1 = [g, g], D^{k+1} = [D^k, D^k], until it stabilizes; a term
+        in the center is abelian, so zero follows it without a bracket span."""
         return self._derived_series
 
     @cached_property
@@ -212,8 +231,9 @@ class LieAlgebra:
         while True:
             cols = terms[-1].integral
             # [u, u] = 0 and [v, u] = -[u, v], so the pairs a < b span it
-            nxt = self._bracket_span((cols[a], cols[b]) for a in range(len(cols))
-                                     for b in range(a + 1, len(cols)))
+            nxt = (Subspace.zero(self.dim) if terms[-1].is_subspace_of(self.center()) else
+                   self._bracket_span((cols[a], cols[b]) for a in range(len(cols))
+                                      for b in range(a + 1, len(cols))))
             if nxt == terms[-1]:
                 break
             terms.append(nxt)

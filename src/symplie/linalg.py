@@ -611,6 +611,10 @@ class Subspace:
         v = _int_row(v)[1]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
+        return self._reduces_to_zero(v)
+
+    def _reduces_to_zero(self, v: list) -> bool:
+        """Whether the int list v, which is consumed, lies in the span."""
         # reduce v against each column in turn, fraction-free
         for col in self.integral:
             pivot, p = col[0]
@@ -625,7 +629,9 @@ class Subspace:
         return not any(v)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(dense(c, self.ambient_dim)) for c in self.integral)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return all(other._reduces_to_zero(dense(c, self.ambient_dim)) for c in self.integral)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -734,20 +740,24 @@ class ProductTensor:
         return cls.from_integral(dim, *_integral_rows(grid))
 
     @classmethod
+    def _of(cls, dim: int, den: int, rows: tuple) -> "ProductTensor":
+        """The tensor whose :attr:`integral` is (den, rows), already canonical."""
+        out = cls.__new__(cls)
+        out.dim, out.integral = dim, (den, rows)
+        return out
+
+    @classmethod
     def from_integral(cls, dim: int, den: int, rows) -> "ProductTensor":
         """The product with e_a o e_m = rows[a][m] / den, for den > 0 and
-        each cell a sequence of (k, num) with increasing k.
+        each cell a sequence of (k, num) pairs with increasing k.
 
         den and every numerator are divided by their one gcd and zero
         numerators are dropped, so :attr:`integral` is canonical.  No
         scalar is built.
         """
         g = gcd(den, *[x for row in rows for cell in row for _, x in cell])
-        out = cls.__new__(cls)
-        out.dim = dim
-        out.integral = (den // g, tuple(tuple(tuple((k, x // g) for k, x in cell if x)
-                                              for cell in row) for row in rows))
-        return out
+        return cls._of(dim, den // g, tuple(tuple(tuple((k, x // g) for k, x in cell if x)
+                                                  for cell in row) for row in rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProductTensor) and self.integral == other.integral

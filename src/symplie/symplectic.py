@@ -633,12 +633,17 @@ def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace,
     return True, ""
 
 
-def _classify(f: Subspace, fperp: Subspace) -> SubspaceClass:
+def _classify(f: Subspace, fperp: Subspace,
+              meet: Optional[Subspace] = None) -> SubspaceClass:
+    """The kind of f from its perp fperp; meet = f meet fperp, computed
+    only when f is not totally isotropic and not given."""
     if f == fperp:
         return SubspaceClass.LAGRANGIAN
     if f.is_subspace_of(fperp):
         return SubspaceClass.TOTALLY_ISOTROPIC
-    if subspace_intersect(f, fperp).dim > 0:
+    if meet is None:
+        meet = subspace_intersect(f, fperp)
+    if meet.dim > 0:
         return SubspaceClass.DEGENERATE
     return SubspaceClass.NONDEGENERATE
 
@@ -667,7 +672,7 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
     zperp = perp(s, center)
     kernels = multiplication_kernels(s)
     nl = kernels.left_kernel
-    _, h = _int_h(s)
+    hden, h = _int_h(s)
     unimodular = alg.is_unimodular()
     lcs = alg.lower_central_series()
     abelian = derived.dim == 0
@@ -782,10 +787,10 @@ def structural_report(s: SymplecticLieAlgebra) -> StructuralReport:
         claims=tuple(claims),
         is_flat=flat,
         nilpotency_class=lcs.nilpotency_class,
-        center_kind=_classify(center, zperp),
-        derived_kind=_classify(derived, dperp),
+        center_kind=_classify(center, zperp, zmeet),
+        derived_kind=_classify(derived, dperp, dmeet),
         unimodular=unimodular,
-        h=h_vector(s),
+        h=tuple(rational(x, hden) for x in h),
     )
 
 

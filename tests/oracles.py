@@ -42,12 +42,20 @@ they ran before each canonical subspace came from one elimination.
 test and the curvature loop as they ran before their residuals were
 packed whole: n^2 small multiply-adds per product cell, one int_sum per
 Jacobi triple and one packed residual per (i, j, m).
+``all_cells_derived_subspace``, ``span_lower_central_series``,
+``span_derived_series``, ``sum_fingerprint``,
+``generator_product_from_integral`` and ``two_pass_lie_from_integral``
+are the derived subspace, both series, the fingerprint and the integral
+constructors as they ran before a central term ended a series, a
+containment decided dim(Z meet D) and the bracket was built canonical in
+one pass.
 """
 
-from math import lcm
+from math import gcd, lcm
 
 import sympy
 
+from symplie.catalog import Fingerprint
 from symplie.documents import MAX_DIM, _fail, _require_dict
 from symplie.extension import (AdmissibilityReport, AdmissiblePair,
                                EquationCheck, NotFlatError, ReductionStep)
@@ -58,8 +66,8 @@ from symplie.linalg import (Matrix, NoSolutionError, PackedCells, RrefResult,
                             Subspace, _int_row, _rref_rows, accumulate, common_kernel,
                             commutator, dense, int_inverse, int_matmul,
                             int_product, int_sum, inverse, is_zero_vector, kernel,
-                            solve, sparse, subspace_intersect, unit_vector, vdot,
-                            vector)
+                            solve, sparse, subspace_intersect, subspace_sum,
+                            unit_vector, vdot, vector)
 from symplie.rationals import (ONE, THIRD, ZERO, Q, RationalSyntaxError, as_q,
                                integral, parse_rational, qstr, rational)
 from symplie.symplectic import (Claim, FlatnessChecks, MultiplicationKernels,
@@ -1178,3 +1186,96 @@ def per_m_first_curvature_violation(product: ProductTensor,
                 if den * b + bden * r:
                     return (i, j)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the classification before containment decided it
+
+# The bodies of LieAlgebra._derived_subspace, _lower_central_series,
+# _derived_series, catalog.fingerprint, ProductTensor.from_integral and
+# LieAlgebra.from_integral as they ran before a term in the center ended
+# a series, a containment decided dim(Z meet D) and the bracket tensor
+# was built canonical in one pass: every bracket cell is eliminated, every
+# series term is a bracket span, the meet always takes subspace_sum, and
+# from_integral fills in both halves and then canonicalizes every cell.
+# Only self is renamed to the first argument and the names of the called
+# copies are changed.
+
+def all_cells_derived_subspace(algebra) -> Subspace:
+    n = algebra.dim
+    _, rows = algebra.bracket_tensor.integral
+    return Subspace.from_integral(n, [dense(rows[i][j], n) for i in range(n)
+                                      for j in range(i + 1, n)])
+
+
+def span_lower_central_series(algebra) -> LowerCentralSeries:
+    units = [((i, 1),) for i in range(algebra.dim)]
+    terms = [Subspace.full(algebra.dim)]
+    nxt = all_cells_derived_subspace(algebra)  # C^2 = [g, g]
+    while nxt != terms[-1]:
+        terms.append(nxt)
+        nxt = algebra._bracket_span((e, v) for e in units for v in nxt.integral)
+    nilpotent = terms[-1].dim == 0
+    cls = len(terms) - 1 if nilpotent else None
+    return LowerCentralSeries(tuple(terms), cls)
+
+
+def span_derived_series(algebra) -> DerivedSeries:
+    terms = [all_cells_derived_subspace(algebra)]
+    while True:
+        cols = terms[-1].integral
+        # [u, u] = 0 and [v, u] = -[u, v], so the pairs a < b span it
+        nxt = algebra._bracket_span((cols[a], cols[b]) for a in range(len(cols))
+                                    for b in range(a + 1, len(cols)))
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return DerivedSeries(tuple(terms), terms[-1].dim == 0)
+
+
+def sum_fingerprint(algebra) -> Fingerprint:
+    if isinstance(algebra, SymplecticLieAlgebra):
+        algebra = algebra.algebra
+    center = algebra.center()
+    derived = all_cells_derived_subspace(algebra)
+    return Fingerprint(
+        dim=algebra.dim,
+        lower_central_dims=span_lower_central_series(algebra).dims,
+        derived_series_dims=span_derived_series(algebra).dims,
+        center_dim=center.dim,
+        derived_dim=derived.dim,
+        # dim(Z meet D) = dim Z + dim D - dim(Z + D)
+        center_meets_derived_dim=(center.dim + derived.dim
+                                  - subspace_sum(center, derived).dim),
+    )
+
+
+def generator_product_from_integral(dim: int, den: int, rows) -> ProductTensor:
+    """The product with e_a o e_m = rows[a][m] / den, for den > 0 and
+    each cell a sequence of (k, num) with increasing k.
+
+    den and every numerator are divided by their one gcd and zero
+    numerators are dropped, so :attr:`integral` is canonical.  No
+    scalar is built.
+    """
+    g = gcd(den, *[x for row in rows for cell in row for _, x in cell])
+    out = ProductTensor.__new__(ProductTensor)
+    out.dim = dim
+    out.integral = (den // g, tuple(tuple(tuple((k, x // g) for k, x in cell if x)
+                                          for cell in row) for row in rows))
+    return out
+
+
+def two_pass_lie_from_integral(names, den: int, brackets) -> LieAlgebra:
+    """Build from ``{(i, j): ((k, num), ...)}`` with ``i < j`` (0-based):
+    [e_i, e_j] = sum of num e_k / den, with k increasing, through
+    :meth:`ProductTensor.from_integral`, so no scalar is built."""
+    names = tuple(names)
+    n = len(names)
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), cell in brackets.items():
+        if not (0 <= i < j < n):
+            raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+        rows[i][j] = cell
+        rows[j][i] = tuple((k, -x) for k, x in cell)
+    return LieAlgebra._of(names, generator_product_from_integral(n, den, rows))

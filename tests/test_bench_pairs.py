@@ -69,6 +69,20 @@ def test_claim():
     assert bench_pairs.judge_claim(fast["metrics"]["item_p50_ms"], 1.9)["met"]
 
 
+def test_metric_rows():
+    out = bench_pairs.aggregate(PARENT, CHANGE, SPECS)
+    q1, _, q3 = statistics.quantiles([100, 104, 98, 102], n=4, method="inclusive")
+    assert bench_pairs.metric_rows({"sweep": out, "zero": {"metrics": {
+        "items_per_s": {**out["metrics"]["items_per_s"],
+                        "parent": {"median": 0, "q1": 0, "q3": 0}}}}}) == [
+        f"sweep items_per_s: parent 101.0 (q1 {q1}, q3 {q3}), change 139.5, "
+        f"ratio 1.381, wins 3/4, within bound",
+        "sweep item_p50_ms: parent 1.0 (q1 0.975, q3 1.025), change 1.3, "
+        "ratio 1.300, wins 0/4, OUTSIDE bound",
+        "zero items_per_s: parent 0 (q1 0, q3 0), change 139.5, "
+        "ratio -, wins 3/4, within bound"]
+
+
 def test_pairs_alternate(monkeypatch):
     calls = []
 

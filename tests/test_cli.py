@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symplie import __version__, cli
+from symplie import __version__, catalog, cli
 from symplie.documents import dumps_document, parse_document
 from symplie.extension import ExtensionInvariantError
 from symplie.symplectic import DegenerateFormError, FlatnessInvariantError
@@ -510,3 +510,23 @@ def test_version(capsys):
     assert rc == 0 and err == ""
     assert out == (f"symplie {__version__} (scalars: fractions.Fraction, "
                    f"Python {platform.python_version()})\n")
+
+
+class TestUnknownNames:
+    """An unknown name is reported as the plain message, not quoted as a
+    KeyError would print it."""
+
+    def test_unknown_catalog_entry(self, capsys):
+        rc, out, err = run(capsys, "catalog", "show", "nope")
+        assert rc == 1 and out == ""
+        assert err == ("error: unknown catalog entry 'nope'; available: "
+                       + ", ".join(catalog.names()) + "\n")
+
+    def test_unknown_family(self, capsys, monkeypatch):
+        # no subcommand takes a family name, so a catalog lookup stands in
+        monkeypatch.setattr(cli.catalog, "get",
+                            lambda name, **params: catalog.admissible_family(name, params))
+        rc, out, err = run(capsys, "catalog", "show", "nope")
+        assert rc == 1 and out == ""
+        assert err == ("error: unknown family 'nope'; available: "
+                       + ", ".join(catalog.family_names()) + "\n")

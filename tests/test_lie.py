@@ -22,6 +22,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LieAlgebra.from_sparse(("a", "b"), {(0, 1): {5: 1}})
 
+    def test_full_table_must_be_antisymmetric(self):
+        zero, x = (0, 0), (1, 0)
+        # [x, y] = x with [y, x] = 0
+        with pytest.raises(ValueError, match=r"\[e_0, e_1\] != -\[e_1, e_0\]"):
+            LieAlgebra(("x", "y"), [[zero, x], [zero, zero]])
+        # [x, x] = x
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            LieAlgebra(("x", "y"), [[x, zero], [zero, zero]])
+        g = LieAlgebra(("x", "y"), [[zero, x], [(-1, 0), zero]])
+        assert g == LieAlgebra.from_sparse(("x", "y"), {(0, 1): {0: 1}})
+        assert not g.validate()
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             LieAlgebra.from_sparse(("a", "a"), {})
