@@ -3,7 +3,7 @@
 from .errors import SymplieError
 from .rationals import Q, as_q, parse_rational, qstr
 from .linalg import Matrix, Subspace
-from .lie import InvalidLieAlgebraError, LieAlgebra
+from .lie import LieAlgebra
 from .symplectic import (InvalidSymplecticError, ProductTensor, SkewForm,
                          SubspaceClass, SymplecticLieAlgebra, change_of_basis,
                          classify_subspace, darboux_basis, h_vector,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SymplieError", "Q", "as_q", "parse_rational", "qstr",
     "Matrix", "Subspace",
-    "InvalidLieAlgebraError", "LieAlgebra",
+    "LieAlgebra",
     "InvalidSymplecticError", "ProductTensor", "SkewForm", "SubspaceClass",
     "SymplecticLieAlgebra", "change_of_basis", "classify_subspace",
     "darboux_basis", "h_vector", "multiplication_kernels", "perp",

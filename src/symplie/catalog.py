@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional
+from itertools import product
+from typing import Callable, Mapping, Optional
 
 from .errors import SymplieError
 from .extension import AdmissiblePair
 from .lie import LieAlgebra
-from .linalg import Matrix, subspace_sum
+from .linalg import subspace_sum
 from .rationals import ONE, ZERO, Q, as_q, integral
 from .symplectic import (ProductTensor, SkewForm, SymplecticLieAlgebra,
                          validate_symplectic)
@@ -62,194 +63,103 @@ class CatalogEntry:
     expected_class: Optional[str]
 
 
-# The coefficient of x3 o x2 below is -(1/2): any other value (1/6 is a
-# value sometimes quoted for this cell) breaks u o v - v o u = [u, v]
-# against [x2, x3] = x6 and is therefore provably wrong.
+# The coefficient of x3 o x2 in g6_3 below is -(1/2): any other value
+# (1/6 is a value sometimes quoted for this cell) breaks u o v - v o u =
+# [u, v] against [x2, x3] = x6 and is therefore provably wrong.
 G6_3_CORRECTED_CELL = ((2, 1), {5: Q(-1, 2)})
 
 
-def _zero_products(dim: int) -> ProductTensor:
-    return ProductTensor.from_sparse(dim, {})
+def _xs(dim: int) -> tuple:
+    return tuple(f"x{k}" for k in range(1, dim + 1))
 
 
-def _entry_zero() -> CatalogEntry:
-    alg = validate_symplectic(LieAlgebra.from_sparse((), {}),
-                              SkewForm(Matrix.zeros(0, 0)))
-    return CatalogEntry("zero", "the zero-dimensional algebra",
-                        alg, _zero_products(0), "R^0")
-
-
-def _entry_abelian(name: str, dim: int, form: SkewForm,
-                   description: str) -> CatalogEntry:
-    names = tuple(f"x{k + 1}" for k in range(dim))
-    alg = validate_symplectic(LieAlgebra.from_sparse(names, {}), form)
-    return CatalogEntry(name, description, alg, _zero_products(dim), f"R^{dim}")
-
-
-def _entry_aff1() -> CatalogEntry:
-    alg = validate_symplectic(
-        LieAlgebra.from_sparse(("e1", "e2"), {(0, 1): {1: 1}}),
-        wedge_form(2, [(1, 2, 1)]))
-    products = ProductTensor.from_sparse(2, {
-        (0, 0): {0: Q(-1, 3)},
-        (0, 1): {1: Q(1, 3)},
-        (1, 0): {1: Q(-2, 3)},
-    })
-    return CatalogEntry(
-        "aff1",
-        "nonabelian dimension 2 ([e1,e2] = e2); symplectic but not flat",
-        alg, products, None)
-
-
-def _entry_r_h3_dim4() -> CatalogEntry:
-    alg = validate_symplectic(
-        LieAlgebra.from_sparse(("x1", "x2", "x3", "x4"), {(0, 1): {2: 1}}),
-        wedge_form(4, [(1, 4, 1), (2, 3, 1)]))
-    products = ProductTensor.from_sparse(4, {
-        (0, 1): {2: Q(2, 3)},
-        (1, 0): {2: Q(-1, 3)},
-        (1, 1): {3: Q(-1, 3)},
-    })
-    return CatalogEntry(
-        "r_h3_dim4",
-        "line times Heisenberg, dimension 4 ([x1,x2] = x3)",
-        alg, products, "RxH3")
-
-
-def _entry_r3_h3() -> CatalogEntry:
-    alg = validate_symplectic(
-        LieAlgebra.from_sparse(tuple(f"x{k}" for k in range(1, 7)),
-                               {(0, 1): {5: 1}}),
-        wedge_form(6, [(1, 6, 1), (2, 5, 1), (3, 4, 1)]))
-    products = ProductTensor.from_sparse(6, {
-        (0, 0): {4: Q(1, 3)},
-        (0, 1): {5: Q(1, 3)},
-        (1, 0): {5: Q(-2, 3)},
-    })
-    return CatalogEntry(
-        "r3_h3",
-        "three lines times Heisenberg, dimension 6 ([x1,x2] = x6)",
-        alg, products, "R^3xH3")
-
-
-def _entry_g6_1(lam) -> CatalogEntry:
-    lam = as_q(lam)
+def _g6_1(lam) -> tuple:
+    """The g6_1 record at lam; lam = 0 and lam = 1 make the form degenerate."""
     if lam == ZERO or lam == ONE:
         raise ConstraintViolatedError(
             "g6_1 needs lam outside {0, 1}; those values make the form degenerate")
-    alg = validate_symplectic(
-        LieAlgebra.from_sparse(tuple(f"x{k}" for k in range(1, 7)),
-                               {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}}),
-        wedge_form(6, [(1, 6, 1), (2, 5, lam), (3, 4, lam - 1)]))
-    products = ProductTensor.from_sparse(6, {
+    products = {
         (0, 1): {3: (1 - 2 * lam) / (3 - 3 * lam)},
         (0, 2): {4: (2 * lam - 1) / (3 * lam)},
         (1, 0): {3: (lam - 2) / (3 - 3 * lam)},
         (1, 2): {5: (2 - lam) / 3},
         (2, 0): {4: (-lam - 1) / (3 * lam)},
         (2, 1): {5: (-1 - lam) / 3},
-    })
-    return CatalogEntry(
-        "g6_1",
-        f"nilpotent class 2, dimension 6, one-parameter form family (lam={lam})",
-        alg, products, "g6_1")
-
-
-_G6_2_BRACKETS = {(0, 1): {4: 1}, (0, 2): {5: 1}}
-_G6_2_FORMS = {
-    "g6_2": [(1, 6, 1), (2, 5, 1), (3, 4, 1)],
-    "g6_2_w2": [(1, 4, 1), (2, 6, 1), (3, 5, 1)],
-    "g6_2_w3": [(1, 6, 1), (2, 5, 1), (3, 4, -1)],
-}
-
-
-def _entry_g6_2(name: str) -> CatalogEntry:
-    alg = validate_symplectic(
-        LieAlgebra.from_sparse(tuple(f"x{k}" for k in range(1, 7)),
-                               _G6_2_BRACKETS),
-        wedge_form(6, _G6_2_FORMS[name]))
-    products = None
-    if name == "g6_2":
-        products = ProductTensor.from_sparse(6, {
-            (0, 0): {3: Q(1, 3)},
-            (0, 1): {4: Q(2, 3)},
-            (0, 2): {5: Q(1, 3)},
-            (1, 0): {4: Q(-1, 3)},
-            (1, 1): {5: Q(-1, 3)},
-            (2, 0): {5: Q(-2, 3)},
-        })
-    extra = "" if name == "g6_2" else ", alternative symplectic form"
-    return CatalogEntry(
-        name,
-        f"nilpotent class 2, dimension 6, two independent brackets{extra}",
-        alg, products, "g6_2")
-
-
-def _entry_g6_3() -> CatalogEntry:
-    alg = validate_symplectic(
-        LieAlgebra.from_sparse(
-            tuple(f"x{k}" for k in range(1, 7)),
-            {(0, 1): {3: 1}, (0, 2): {4: 1}, (0, 3): {5: 1}, (1, 2): {5: 1}}),
-        wedge_form(6, [(1, 6, 1), (2, 5, Q(1, 2)), (3, 4, Q(-1, 2))]))
-    sparse = {
-        (0, 0): {2: Q(2, 3)},
-        (0, 3): {5: Q(1, 3)},
-        (1, 0): {3: Q(-1)},
-        (1, 2): {5: Q(1, 2)},
-        (2, 0): {4: Q(-1)},
-        (3, 0): {5: Q(-2, 3)},
     }
-    cell, value = G6_3_CORRECTED_CELL
-    sparse[cell] = value
-    return CatalogEntry(
-        "g6_3",
-        "nilpotent class 3, dimension 6 (the only non-class-2 case)",
-        alg, ProductTensor.from_sparse(6, sparse), "g6_3")
+    return (_xs(6), {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}},
+            [(1, 6, 1), (2, 5, lam), (3, 4, lam - 1)], products, "g6_1",
+            f"nilpotent class 2, dimension 6, one-parameter form family (lam={lam})")
 
 
-_BUILDERS = {
-    "zero": _entry_zero,
-    "abelian2": lambda: _entry_abelian(
-        "abelian2", 2, wedge_form(2, [(1, 2, 1)]), "abelian dimension 2"),
-    "abelian4": lambda: _entry_abelian(
-        "abelian4", 4, wedge_form(4, [(1, 2, 1), (3, 4, 1)]),
-        "abelian dimension 4, adjacent-pairs form"),
-    "abelian4_w0": lambda: _entry_abelian(
-        "abelian4_w0", 4, wedge_form(4, [(1, 4, 1), (2, 3, 1)]),
-        "abelian dimension 4, nested-pairs form"),
-    "abelian6": lambda: _entry_abelian(
-        "abelian6", 6, wedge_form(6, [(1, 6, 1), (2, 5, 1), (3, 4, 1)]),
-        "abelian dimension 6, nested-pairs form"),
-    "aff1": _entry_aff1,
-    "r_h3_dim4": _entry_r_h3_dim4,
-    "r3_h3": _entry_r3_h3,
-    "g6_1": _entry_g6_1,
-    "g6_2": lambda: _entry_g6_2("g6_2"),
-    "g6_2_w2": lambda: _entry_g6_2("g6_2_w2"),
-    "g6_2_w3": lambda: _entry_g6_2("g6_2_w3"),
-    "g6_3": _entry_g6_3,
+_NESTED6 = [(1, 6, 1), (2, 5, 1), (3, 4, 1)]
+_G6_2_BRACKETS = {(0, 1): {4: 1}, (0, 2): {5: 1}}
+_G6_2 = "nilpotent class 2, dimension 6, two independent brackets"
+
+# name: (basis, brackets, omega terms, frozen products or None, class,
+# description), or a function of the entry's parameters giving that
+# record; brackets and products are sparse, {(i, j): {k: c}} 0-based, and
+# the omega terms are wedge_form's
+_ENTRIES = {
+    "zero": ((), {}, [], {}, "R^0", "the zero-dimensional algebra"),
+    "abelian2": (_xs(2), {}, [(1, 2, 1)], {}, "R^2", "abelian dimension 2"),
+    "abelian4": (_xs(4), {}, [(1, 2, 1), (3, 4, 1)], {}, "R^4",
+                 "abelian dimension 4, adjacent-pairs form"),
+    "abelian4_w0": (_xs(4), {}, [(1, 4, 1), (2, 3, 1)], {}, "R^4",
+                    "abelian dimension 4, nested-pairs form"),
+    "abelian6": (_xs(6), {}, _NESTED6, {}, "R^6",
+                 "abelian dimension 6, nested-pairs form"),
+    "aff1": (("e1", "e2"), {(0, 1): {1: 1}}, [(1, 2, 1)],
+             {(0, 0): {0: Q(-1, 3)}, (0, 1): {1: Q(1, 3)}, (1, 0): {1: Q(-2, 3)}},
+             None, "nonabelian dimension 2 ([e1,e2] = e2); symplectic but not flat"),
+    "r_h3_dim4": (_xs(4), {(0, 1): {2: 1}}, [(1, 4, 1), (2, 3, 1)],
+                  {(0, 1): {2: Q(2, 3)}, (1, 0): {2: Q(-1, 3)}, (1, 1): {3: Q(-1, 3)}},
+                  "RxH3", "line times Heisenberg, dimension 4 ([x1,x2] = x3)"),
+    "r3_h3": (_xs(6), {(0, 1): {5: 1}}, _NESTED6,
+              {(0, 0): {4: Q(1, 3)}, (0, 1): {5: Q(1, 3)}, (1, 0): {5: Q(-2, 3)}},
+              "R^3xH3", "three lines times Heisenberg, dimension 6 ([x1,x2] = x6)"),
+    "g6_1": _g6_1,
+    "g6_2": (_xs(6), _G6_2_BRACKETS, _NESTED6,
+             {(0, 0): {3: Q(1, 3)}, (0, 1): {4: Q(2, 3)}, (0, 2): {5: Q(1, 3)},
+              (1, 0): {4: Q(-1, 3)}, (1, 1): {5: Q(-1, 3)}, (2, 0): {5: Q(-2, 3)}},
+             "g6_2", _G6_2),
+    "g6_2_w2": (_xs(6), _G6_2_BRACKETS, [(1, 4, 1), (2, 6, 1), (3, 5, 1)], None,
+                "g6_2", f"{_G6_2}, alternative symplectic form"),
+    "g6_2_w3": (_xs(6), _G6_2_BRACKETS, [(1, 6, 1), (2, 5, 1), (3, 4, -1)], None,
+                "g6_2", f"{_G6_2}, alternative symplectic form"),
+    "g6_3": (_xs(6), {(0, 1): {3: 1}, (0, 2): {4: 1}, (0, 3): {5: 1}, (1, 2): {5: 1}},
+             [(1, 6, 1), (2, 5, Q(1, 2)), (3, 4, Q(-1, 2))],
+             dict([((0, 0), {2: Q(2, 3)}), ((0, 3), {5: Q(1, 3)}), ((1, 0), {3: Q(-1)}),
+                   ((1, 2), {5: Q(1, 2)}), ((2, 0), {4: Q(-1)}), ((3, 0), {5: Q(-2, 3)}),
+                   G6_3_CORRECTED_CELL]),
+             "g6_3", "nilpotent class 3, dimension 6 (the only non-class-2 case)"),
 }
 
 _PARAM_DEFAULTS = {"g6_1": {"lam": Q(2)}}
 
 
 def names() -> tuple:
-    return tuple(_BUILDERS)
+    return tuple(_ENTRIES)
 
 
 def get(name: str, **params) -> CatalogEntry:
-    if name not in _BUILDERS:
+    if name not in _ENTRIES:
         raise UnknownNameError(
             f"unknown catalog entry {name!r}; available: {', '.join(names())}")
     allowed = _PARAM_DEFAULTS.get(name, {})
     bad = set(params) - set(allowed)
     if bad:
         raise ValueError(f"{name} does not take parameter(s) {sorted(bad)}")
+    record = _ENTRIES[name]
     if allowed:
         merged = dict(allowed)
         merged.update({k: as_q(v) for k, v in params.items()})
-        return _BUILDERS[name](**merged)
-    return _BUILDERS[name]()
+        record = record(**merged)
+    basis, brackets, omega, products, expected_class, description = record
+    alg = validate_symplectic(LieAlgebra.from_sparse(basis, brackets),
+                              wedge_form(len(basis), omega))
+    if products is not None:
+        products = ProductTensor.from_sparse(len(basis), products)
+    return CatalogEntry(name, description, alg, products, expected_class)
 
 
 # ---------------------------------------------------------------------------
@@ -338,41 +248,105 @@ _SMALL = tuple(map(as_q, (-1, Q(1, 2), 2)))
 _PAIR_CYCLE = tuple((as_q(a), as_q(b)) for a, b in
                     ((0, 0), (1, 0), (0, 1), (1, -2), (Q(-1, 2), 3)))
 
-FAMILY_BASES = {
-    "dim2_trivial": "abelian2",
-    "dim2_nilpotent": "abelian2",
-    "dim4_abelian_case1": "abelian4",
-    "dim4_abelian_case2": "abelian4_w0",
-    "dim4_abelian_case3": "abelian4_w0",
-    "dim4_abelian_case4": "abelian4",
-    "dim4_nonabelian_family1": "r_h3_dim4",
-    "dim4_nonabelian_family2": "r_h3_dim4",
+
+def _nonzero_times(tuples, at: int = 0) -> list:
+    """Each t of tuples with each v of NONZERO_GRID put in at position at."""
+    return [t[:at] + (v,) + t[at:] for v in NONZERO_GRID for t in tuples]
+
+
+def _small_cycle(keep=lambda a, b, c, d: True) -> list:
+    """The (a, b, c, d) of _SMALL^4 that keep accepts, each followed by
+    the next (alpha, beta) of _PAIR_CYCLE in turn."""
+    points = [p for p in product(_SMALL, repeat=4) if keep(*p)]
+    return [p + _PAIR_CYCLE[i % len(_PAIR_CYCLE)] for i, p in enumerate(points)]
+
+
+def _ad_ne_bc(a, b, c, d, **_) -> bool:
+    return a * d != b * c
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A parametric family of pairs over a base catalog entry.
+
+    rows takes the parameters by keyword and gives the rows of [xi | b0];
+    ok (when set) is the family's constraint, stated by needs; grid gives
+    the sweep's points as value tuples in the order of keys.
+    """
+    base: str
+    keys: tuple
+    rows: Callable
+    grid: Callable
+    needs: Optional[str] = None
+    ok: Optional[Callable] = None
+
+
+_FAMILIES = {
+    "dim2_trivial": _Family(
+        "abelian2", ("alpha", "beta"),
+        rows=lambda alpha, beta: [[0, 0, alpha], [0, 0, beta]],
+        grid=lambda: list(product(STANDARD_GRID, repeat=2))),
+    "dim2_nilpotent": _Family(
+        "abelian2", ("a", "alpha"),
+        rows=lambda a, alpha: [[0, a, alpha], [0, 0, 0]],
+        grid=lambda: _nonzero_times([(v,) for v in STANDARD_GRID]),
+        needs="a != 0", ok=lambda a, **_: a != 0),
+    "dim4_abelian_case1": _Family(
+        "abelian4", ("alpha", "beta", "gamma", "delta"),
+        rows=lambda alpha, beta, gamma, delta: [[0, 0, 0, 0, alpha], [0, 0, 0, 0, beta],
+                                                [0, 0, 0, 0, gamma], [0, 0, 0, 0, delta]],
+        # the origin, each axis, then mixed points
+        grid=lambda: ([(0, 0, 0, 0)]
+                      + [p for k in range(4) for p in _nonzero_times([(0, 0, 0)], k)]
+                      + [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1),
+                         (1, -2, 3, Q(-1, 2))])),
+    "dim4_abelian_case2": _Family(
+        "abelian4_w0", ("a", "b", "c", "d", "alpha", "beta"),
+        rows=lambda a, b, c, d, alpha, beta: [[0, 0, a, b, alpha], [0, 0, c, d, beta],
+                                              [0] * 5, [0] * 5],
+        grid=lambda: _small_cycle(_ad_ne_bc) + [(1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 1)],
+        needs="ad != bc", ok=_ad_ne_bc),
+    "dim4_abelian_case3": _Family(
+        "abelian4_w0", ("a", "alpha", "beta", "gamma"),
+        rows=lambda a, alpha, beta, gamma: [[0, 0, 0, a, alpha], [0, 0, 0, 0, beta],
+                                            [0, 0, 0, 0, gamma], [0] * 5],
+        grid=lambda: _nonzero_times([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                     (1, 1, 0), (0, 1, -2), (Q(1, 2), -1, 3)]),
+        needs="a != 0", ok=lambda a, **_: a != 0),
+    "dim4_abelian_case4": _Family(
+        "abelian4", ("a", "alpha", "beta"),
+        rows=lambda a, alpha, beta: [[0, 0, 0, a, alpha], [0] * 5,
+                                     [0, 0, 0, 0, beta], [0] * 5],
+        grid=lambda: _nonzero_times(_PAIR_CYCLE),
+        needs="a != 0", ok=lambda a, **_: a != 0),
+    "dim4_nonabelian_family1": _Family(
+        "r_h3_dim4", ("a", "b", "c", "d", "alpha", "beta"),
+        rows=lambda a, b, c, d, alpha, beta: [[0] * 5, [0] * 5, [a, b, 0, 0, alpha],
+                                              [c, d, 0, 0, beta]],
+        grid=_small_cycle),
+    "dim4_nonabelian_family2": _Family(
+        "r_h3_dim4", ("a", "b", "c", "d", "x"),
+        rows=lambda a, b, c, d, x: [[0, 0, 0, 0, -9 * c * d], [0] * 5, [a, b, 0, c, x],
+                                    [0, d, 0, 0, 9 * d * (a + d)]],
+        # c, the third key, runs over NONZERO_GRID
+        grid=lambda: _nonzero_times([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                                     (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, Q(1, 2), 0),
+                                     (2, 1, -1, 3), (Q(-1, 2), 0, 2, 1)], at=2),
+        needs="c != 0", ok=lambda c, **_: c != 0),
 }
 
-_FAMILY_KEYS = {
-    "dim2_trivial": ("alpha", "beta"),
-    "dim2_nilpotent": ("a", "alpha"),
-    "dim4_abelian_case1": ("alpha", "beta", "gamma", "delta"),
-    "dim4_abelian_case2": ("a", "b", "c", "d", "alpha", "beta"),
-    "dim4_abelian_case3": ("a", "alpha", "beta", "gamma"),
-    "dim4_abelian_case4": ("a", "alpha", "beta"),
-    "dim4_nonabelian_family1": ("a", "b", "c", "d", "alpha", "beta"),
-    "dim4_nonabelian_family2": ("a", "b", "c", "d", "x"),
-}
+FAMILY_BASES = {name: family.base for name, family in _FAMILIES.items()}
 
 
 def family_names() -> tuple:
-    return tuple(_FAMILY_KEYS)
+    return tuple(_FAMILIES)
 
 
-def _family_params(name: str, params: Mapping) -> dict:
-    keys = _FAMILY_KEYS[name]
-    missing = set(keys) - set(params)
-    extra = set(params) - set(keys)
-    if missing or extra:
-        raise ValueError(
-            f"{name} takes exactly the parameters {list(keys)}")
-    return {k: as_q(params[k]) for k in keys}
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise UnknownNameError(
+            f"unknown family {name!r}; available: {', '.join(family_names())}")
+    return _FAMILIES[name]
 
 
 def admissible_family(name: str, params: Mapping) -> tuple:
@@ -382,50 +356,19 @@ def admissible_family(name: str, params: Mapping) -> tuple:
     family's defining constraint; the returned pair is otherwise
     admissible over the stated base for every parameter choice.
     """
-    if name not in _FAMILY_KEYS:
-        raise UnknownNameError(
-            f"unknown family {name!r}; available: {', '.join(family_names())}")
-    p = _family_params(name, params)
-    a, b, c, d = (p.get(k, ZERO) for k in "abcd")
-    # each row is a row of xi followed by the entry of b0
-    if name == "dim2_trivial":
-        return "abelian2", _pair([0, 0, p["alpha"]], [0, 0, p["beta"]])
-    if name == "dim2_nilpotent":
-        if not a:
-            raise ConstraintViolatedError("dim2_nilpotent needs a != 0")
-        return "abelian2", _pair([0, a, p["alpha"]], [0, 0, 0])
-    if name == "dim4_abelian_case1":
-        return "abelian4", _pair(*([0, 0, 0, 0, p[k]]
-                                   for k in ("alpha", "beta", "gamma", "delta")))
-    if name == "dim4_abelian_case2":
-        if a * d == b * c:
-            raise ConstraintViolatedError("dim4_abelian_case2 needs ad != bc")
-        return "abelian4_w0", _pair([0, 0, a, b, p["alpha"]], [0, 0, c, d, p["beta"]],
-                                    [0] * 5, [0] * 5)
-    if name == "dim4_abelian_case3":
-        if not a:
-            raise ConstraintViolatedError("dim4_abelian_case3 needs a != 0")
-        return "abelian4_w0", _pair([0, 0, 0, a, p["alpha"]], [0, 0, 0, 0, p["beta"]],
-                                    [0, 0, 0, 0, p["gamma"]], [0] * 5)
-    if name == "dim4_abelian_case4":
-        if not a:
-            raise ConstraintViolatedError("dim4_abelian_case4 needs a != 0")
-        return "abelian4", _pair([0, 0, 0, a, p["alpha"]], [0] * 5,
-                                 [0, 0, 0, 0, p["beta"]], [0] * 5)
-    if name == "dim4_nonabelian_family1":
-        return "r_h3_dim4", _pair([0] * 5, [0] * 5, [a, b, 0, 0, p["alpha"]],
-                                  [c, d, 0, 0, p["beta"]])
-    if not c:
-        raise ConstraintViolatedError("dim4_nonabelian_family2 needs c != 0")
-    return "r_h3_dim4", _pair([0, 0, 0, 0, -9 * c * d], [0] * 5, [a, b, 0, c, p["x"]],
-                              [0, d, 0, 0, 9 * d * (a + d)])
-
-
-def _pair(*rows) -> AdmissiblePair:
-    """The pair whose [xi | b0] has these rows, put over one denominator."""
+    family = _family(name)
+    if set(params) != set(family.keys):
+        raise ValueError(
+            f"{name} takes exactly the parameters {list(family.keys)}")
+    p = {k: as_q(params[k]) for k in family.keys}
+    if family.ok is not None and not family.ok(**p):
+        raise ConstraintViolatedError(f"{name} needs {family.needs}")
+    rows = family.rows(**p)
+    # [xi | b0] over one denominator
     den, nums = integral([x for row in rows for x in row])
     it = iter(nums)
-    return AdmissiblePair.from_integral(den, [[next(it) for _ in row] for row in rows])
+    return family.base, AdmissiblePair.from_integral(den, [[next(it) for _ in row]
+                                                           for row in rows])
 
 
 def family_parameter_grid(name: str) -> tuple:
@@ -435,72 +378,5 @@ def family_parameter_grid(name: str) -> tuple:
     families use axis sweeps plus fixed mixed tuples so the whole sweep
     stays fast while still reaching every isomorphism class.
     """
-    if name not in _FAMILY_KEYS:
-        raise UnknownNameError(
-            f"unknown family {name!r}; available: {', '.join(family_names())}")
-    out = []
-    if name == "dim2_trivial":
-        for alpha in STANDARD_GRID:
-            for beta in STANDARD_GRID:
-                out.append({"alpha": alpha, "beta": beta})
-    elif name == "dim2_nilpotent":
-        for a in NONZERO_GRID:
-            for alpha in STANDARD_GRID:
-                out.append({"a": a, "alpha": alpha})
-    elif name == "dim4_abelian_case1":
-        keys = _FAMILY_KEYS[name]
-        out.append(dict.fromkeys(keys, ZERO))
-        for k in keys:
-            for v in NONZERO_GRID:
-                point = dict.fromkeys(keys, ZERO)
-                point[k] = v
-                out.append(point)
-        for tup in ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1),
-                    (1, 0, 0, 1), (1, -2, 3, Q(-1, 2))):
-            out.append(dict(zip(keys, map(as_q, tup))))
-    elif name == "dim4_abelian_case2":
-        i = 0
-        for a in _SMALL:
-            for b in _SMALL:
-                for c in _SMALL:
-                    for d in _SMALL:
-                        if a * d == b * c:
-                            continue
-                        alpha, beta = _PAIR_CYCLE[i % len(_PAIR_CYCLE)]
-                        i += 1
-                        out.append({"a": a, "b": b, "c": c, "d": d,
-                                    "alpha": alpha, "beta": beta})
-        out.append({"a": ONE, "b": ZERO, "c": ZERO, "d": ONE,
-                    "alpha": ZERO, "beta": ZERO})
-        out.append({"a": ONE, "b": ZERO, "c": ZERO, "d": ONE,
-                    "alpha": ZERO, "beta": ONE})
-    elif name == "dim4_abelian_case3":
-        triples = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                   (1, 1, 0), (0, 1, -2), (Q(1, 2), -1, 3))
-        for a in NONZERO_GRID:
-            for alpha, beta, gamma in triples:
-                out.append({"a": a, "alpha": as_q(alpha),
-                            "beta": as_q(beta), "gamma": as_q(gamma)})
-    elif name == "dim4_abelian_case4":
-        for a in NONZERO_GRID:
-            for alpha, beta in _PAIR_CYCLE:
-                out.append({"a": a, "alpha": alpha, "beta": beta})
-    elif name == "dim4_nonabelian_family1":
-        i = 0
-        for a in _SMALL:
-            for b in _SMALL:
-                for c in _SMALL:
-                    for d in _SMALL:
-                        alpha, beta = _PAIR_CYCLE[i % len(_PAIR_CYCLE)]
-                        i += 1
-                        out.append({"a": a, "b": b, "c": c, "d": d,
-                                    "alpha": alpha, "beta": beta})
-    else:
-        tuples = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                  (0, 0, 0, 1), (1, -1, Q(1, 2), 0), (2, 1, -1, 3),
-                  (Q(-1, 2), 0, 2, 1))
-        for c in NONZERO_GRID:
-            for a, b, d, x in tuples:
-                out.append({"a": as_q(a), "b": as_q(b), "c": c,
-                            "d": as_q(d), "x": as_q(x)})
-    return tuple(out)
+    family = _family(name)
+    return tuple(dict(zip(family.keys, map(as_q, point))) for point in family.grid())

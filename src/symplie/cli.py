@@ -27,14 +27,12 @@ from .errors import SymplieError
 from .extension import (NotAdmissibleError, NotAnIdealError, NotFlatError,
                         TrivialCenterError, double_extend, inverse_double_extend,
                         reduction_tower, tower_pairs)
-from .lie import InvalidLieAlgebraError
 from .rationals import Q, RationalSyntaxError, parse_literal, parse_rational, qstr
 from .symplectic import InvalidSymplecticError, structural_report
 
-_INPUT_ERRORS = (DocumentError, InvalidSymplecticError, InvalidLieAlgebraError,
-                 catalog.UnknownNameError, catalog.ConstraintViolatedError,
-                 catalog.UnsupportedDimensionError, RationalSyntaxError,
-                 ValueError, OSError)
+_INPUT_ERRORS = (DocumentError, InvalidSymplecticError, catalog.UnknownNameError,
+                 catalog.ConstraintViolatedError, catalog.UnsupportedDimensionError,
+                 RationalSyntaxError, ValueError, OSError)
 _CHECK_ERRORS = (NotFlatError, NotAdmissibleError, TrivialCenterError,
                  NotAnIdealError)
 # exit code when the reader closes standard output early

@@ -603,13 +603,15 @@ class NilpotencyTraceReport:
 
 def nilpotency_trace_report(base: SymplecticLieAlgebra,
                             pair: AdmissiblePair) -> NilpotencyTraceReport:
-    report = check_admissible(base, pair.xi, pair.b0)
+    _require_flat(base)
+    den, rows = _pair_rows(base, pair)
+    report = _admissibility(base, den, rows)
     if not report.admissible:
         raise NotAdmissibleError(report)
     n = base.dim
     p = base.canonical_product
     xi = pair.xi
-    xi_star = base.adjoint(xi)
+    xi_star = Matrix.from_integral(den, [row[n:2 * n] for row in rows])
     r_b0 = p.right(pair.b0)
 
     power = Matrix.identity(n)

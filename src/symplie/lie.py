@@ -15,22 +15,10 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import SymplieError
 from .linalg import (Matrix, PackedCells, ProductTensor, Subspace, Vec, dense,
                      int_inverse, int_matmul, int_product, int_sum, is_zero_vector,
                      sparse)
 from .rationals import as_q, rational
-
-
-class InvalidLieAlgebraError(SymplieError):
-    """The bracket table violates the Jacobi identity."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        first = self.violations[0]
-        super().__init__(
-            f"Jacobi identity fails at basis triple {first.triple}"
-            f" (residual {first.residual}); {len(self.violations)} triple(s) total")
 
 
 class JacobiViolation(NamedTuple):
@@ -121,9 +109,6 @@ class LieAlgebra:
 
     # -- brackets ------------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        return self.table[i][j]
-
     def bracket(self, u: Sequence, v: Sequence) -> Vec:
         return self.bracket_tensor.apply(u, v)
 
@@ -160,12 +145,6 @@ class LieAlgebra:
                         out.append(JacobiViolation((i, j, k),
                                                    tuple(rational(x, den * den) for x in res)))
         return tuple(out)
-
-    def require_valid(self) -> "LieAlgebra":
-        violations = self.validate()
-        if violations:
-            raise InvalidLieAlgebraError(violations)
-        return self
 
     # -- classical invariants ---------------------------------------------------
     # Each is computed once per algebra, so fingerprint, structural_report

@@ -90,21 +90,6 @@ def unit_vector(n: int, i: int) -> Vec:
     return tuple(ONE if k == i else ZERO for k in range(n))
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = as_q(c)
-    if not c:
-        return zero_vector(len(a))
-    return tuple(c * x for x in a)
-
-
 def vdot(a: Vec, b: Vec):
     acc = ZERO
     for x, y in zip(a, b, strict=True):
@@ -790,9 +775,6 @@ class ProductTensor:
     def columns(self) -> tuple:
         """columns[j][i] = e_i o e_j: the same cells, read down a column."""
         return tuple(zip(*self.table))
-
-    def basis_product(self, i: int, j: int) -> Vec:
-        return self.table[i][j]
 
     def apply(self, u: Sequence, v: Sequence) -> Vec:
         u, v = vector(u), vector(v)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction as Q
 
 from .errors import SymplieError
@@ -40,20 +41,32 @@ class RationalSyntaxError(SymplieError, ValueError):
     """A string did not match the serialization grammar for rationals."""
 
 
+class UnwritableNumberError(SymplieError):
+    """A computed rational is too long for ``str`` to write.  Not a
+    ValueError: the input was valid, so this is not an input error."""
+
+
 def parse_literal(text: str) -> tuple:
     """(num, den) for ``"p"`` or ``"p/q"``: the ints as written, so
     text == num / den with den > 0 but not necessarily in lowest terms.
 
     The one reader of the grammar: malformed strings (whitespace,
-    decimals, empty, q = 0) raise :class:`RationalSyntaxError`.
+    decimals, empty, q = 0) and a p or q longer than the interpreter's
+    int-string limit raise :class:`RationalSyntaxError`.
     """
     if not isinstance(text, str) or _RATIONAL.match(text) is None:
         raise RationalSyntaxError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    den = int(den) if den else 1
+    try:
+        num, den = int(num), int(den) if den else 1
+    except ValueError:
+        digits = max(len(num.lstrip("+-")), len(den))
+        raise RationalSyntaxError(
+            f"literal of {digits} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits") from None
     if den == 0:
         raise RationalSyntaxError(f"zero denominator: {text!r}")
-    return int(num), den
+    return num, den
 
 
 def parse_rational(text: str):
@@ -84,8 +97,22 @@ def as_q(value):
 
 
 def qstr(value) -> str:
-    """Canonical string form: lowest terms, positive denominator."""
-    return str(as_q(value))
+    """Canonical string form: lowest terms, positive denominator.
+
+    A value longer than the interpreter's int-string limit raises
+    :class:`UnwritableNumberError`.
+    """
+    value = as_q(value)
+    try:
+        return str(value)
+    except ValueError:
+        # bits * 1233 >> 12 is about bits * log10(2), without a float
+        den, (num,) = integral((value,))
+        bits = max(abs(num).bit_length(), den.bit_length())
+        raise UnwritableNumberError(
+            f"cannot write a rational of about {bits * 1233 >> 12} digits; the "
+            f"limit for int-string conversion is {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def integral(values) -> tuple:

@@ -297,12 +297,6 @@ class SymplecticLieAlgebra:
             tuple(self.adjoint(-self.algebra.ad(unit_vector(n, i))).columns())
             for i in range(n)))
 
-    def left_mult(self, u: Sequence) -> Matrix:
-        return self.canonical_product.left(u)
-
-    def right_mult(self, u: Sequence) -> Matrix:
-        return self.canonical_product.right(u)
-
     # -- flatness -----------------------------------------------------------
 
     @cached_property
@@ -468,10 +462,6 @@ def perp(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> Subspace:
 def classify_subspace(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> SubspaceClass:
     """Most specific of: lagrangian, totally isotropic, degenerate, nondegenerate."""
     return _classify(f, perp(s, f))
-
-
-def is_degenerate_subspace(s, f: Subspace) -> bool:
-    return subspace_intersect(f, perp(s, f)).dim > 0
 
 
 def darboux_basis(form: SkewForm) -> Matrix:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from symplie import catalog
@@ -56,7 +58,7 @@ class TestEntries:
         assert entry.algebra.is_flat
         assert classify_upto6(entry.algebra) == "g6_1"
         # the frozen cell formulas track the parameter
-        assert entry.expected_products.basis_product(1, 2) \
+        assert entry.expected_products.table[1][2] \
             == (Q(0), Q(0), Q(0), Q(0), Q(0), Q(1, 2))
         for lam in (0, 1):
             with pytest.raises(ConstraintViolatedError):
@@ -85,7 +87,7 @@ class TestG6_3Cell:
         cell, value = G6_3_CORRECTED_CELL
         assert cell == (2, 1)
         p = entries["g6_3"].algebra.canonical_product
-        got = p.basis_product(*cell)
+        got = p.table[cell[0]][cell[1]]
         assert {k: c for k, c in enumerate(got) if c} == value
 
     def test_sixth_variant_is_not_lie_admissible(self, entries):
@@ -198,6 +200,19 @@ class TestFamilies:
             "dim4_nonabelian_family1": 81,
             "dim4_nonabelian_family2": 56,
         }
+
+    def test_grids_golden(self):
+        """Every grid point's parameters (keys in order, with their types),
+        its base and its pair's [xi | b0] numerators, pinned byte for byte."""
+        digest = hashlib.sha256()
+        for fam in family_names():
+            for params in family_parameter_grid(fam):
+                base, pair = admissible_family(fam, params)
+                assert base == catalog.FAMILY_BASES[fam]
+                digest.update(repr((fam, list(params.items()), base,
+                                    pair.integral)).encode())
+        assert digest.hexdigest() == ("2380de5ef56ae357e340532f0538b34e"
+                                      "240a102245c903971893745afdc1d5e5")
 
 
 class TestFamilySweep:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from symplie import __version__, catalog, cli
-from symplie.documents import dumps_document, parse_document
+from symplie.documents import algebra_to_document, dumps_document, parse_document
 from symplie.extension import ExtensionInvariantError
-from symplie.symplectic import DegenerateFormError, FlatnessInvariantError
+from symplie.linalg import Matrix
+from symplie.symplectic import DegenerateFormError, FlatnessInvariantError, change_of_basis
 
 
 def run(capsys, *argv):
@@ -154,6 +157,20 @@ class TestCatalog:
         rc, out, _ = run(capsys, "catalog", "export", "abelian2")
         assert rc == 0
         assert json.loads(out)["dim"] == 2
+
+    def test_list_and_show_golden(self, capsys):
+        """The text of catalog list and of catalog show for every entry,
+        pinned byte for byte (the output digest covers only export)."""
+        runs = [("catalog", "list")]
+        runs += [("catalog", "show", name) for name in catalog.names()]
+        runs.append(("catalog", "show", "g6_1", "--param", "lam=1/2"))
+        digest = hashlib.sha256()
+        for argv in runs:
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0 and err == "", argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == ("e9132b765d035e02274d7f23a29f1d6f"
+                                      "5c5ac26b9f5bc164fdacbd79f24f8c25")
 
 
 class TestExtend:
@@ -418,6 +435,49 @@ class TestOversizedDocument:
         rc, _, err = run(capsys, "verify", str(doc))
         assert rc == 1
         assert err == "error: dim: 1000000 exceeds the limit of 16\n"
+
+
+class TestLongNumbers:
+    """A number longer than the interpreter's int-string limit: in the
+    input it is bad input that names its field (exit 1); in a result it
+    is an internal error (exit 3), since the input was valid."""
+
+    def test_literal_over_the_limit(self, capsys, tmp_path):
+        doc = tmp_path / "long.json"
+        doc.write_text(json.dumps({
+            "dim": 2, "basis": ["x1", "x2"], "brackets": [],
+            "omega": [{"u": "x1", "v": "x2", "value": "1" * 5000}]}))
+        rc, out, err = run(capsys, "verify", str(doc))
+        assert rc == 1 and out == ""
+        assert err == ("error: omega[0].value: literal of 5000 digits exceeds "
+                       "the limit of 4300 digits\n")
+
+    def test_unwritable_tower(self, capsys, tmp_path):
+        # g6_3 in the basis L U, unitriangular factors with 20-digit
+        # entries: its literals have at most 179 digits, its reduction
+        # tower's up to 929
+        rng = random.Random(5)
+
+        def unitriangular(lower):
+            rows = [[int(i == j) for j in range(6)] for i in range(6)]
+            for i in range(6):
+                for j in range(i) if lower else range(i + 1, 6):
+                    rows[i][j] = rng.randint(-10 ** 20, 10 ** 20)
+            return Matrix.from_rows(rows)
+        t = unitriangular(True) @ unitriangular(False)
+        doc = tmp_path / "g6_3.json"
+        doc.write_text(dumps_document(algebra_to_document(
+            change_of_basis(catalog.get("g6_3").algebra, t))))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc, out, err = run(capsys, "reduce", "--base", str(doc), "--auto",
+                               "--pair-out", str(tmp_path / "tower.json"))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rc == 3 and out == ""
+        assert err == ("internal error: cannot write a rational of about 928 digits; "
+                       "the limit for int-string conversion is 640 digits\n")
 
 
 class TestNestedJson:

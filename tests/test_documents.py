@@ -30,7 +30,7 @@ class TestAlgebraDocuments:
         s, meta = document_to_algebra(sample_doc())
         assert s.dim == 4
         assert s.basis_names == ("x1", "x2", "x3", "x4")
-        assert s.algebra.bracket_basis(0, 1) == (Q(0), Q(0), Q(1), Q(0))
+        assert s.algebra.table[0][1] == (Q(0), Q(0), Q(1), Q(0))
         assert s.form.pair((1, 0, 0, 0), (0, 0, 0, 1)) == Q(1)
         assert meta == {}
 
@@ -55,7 +55,7 @@ class TestAlgebraDocuments:
         doc = sample_doc()
         doc["brackets"][0]["value"]["x4"] = "0"
         s, _ = document_to_algebra(doc)
-        assert s.algebra.bracket_basis(0, 1) == (Q(0), Q(0), Q(1), Q(0))
+        assert s.algebra.table[0][1] == (Q(0), Q(0), Q(1), Q(0))
 
     def test_axioms_checked(self):
         doc = sample_doc()
@@ -82,7 +82,7 @@ class TestReadmeDocuments:
     def test_bracket_example(self):
         block = next(b for b in self.json_blocks() if '"value": {' in b)
         s, _ = document_to_algebra(parse_document(block))
-        assert s.algebra.bracket_basis(0, 1) == (Q(0), Q(0), Q(1), Q(0))
+        assert s.algebra.table[0][1] == (Q(0), Q(0), Q(1), Q(0))
         assert s.is_flat
 
 

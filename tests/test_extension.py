@@ -85,8 +85,8 @@ class TestDoubleExtend:
         base = entries["abelian2"].algebra
         ext = double_extend(base, AdmissiblePair(Matrix.zeros(2, 2), (0, 1)))
         assert ext.dim == 4
-        assert ext.algebra.bracket_basis(1, 3) == (Q(1), Q(0), Q(0), Q(0))
-        assert ext.algebra.bracket_basis(2, 3) == (Q(0),) * 4
+        assert ext.algebra.table[1][3] == (Q(1), Q(0), Q(0), Q(0))
+        assert ext.algebra.table[2][3] == (Q(0),) * 4
         assert ext.is_flat
         assert ext.algebra.lower_central_series().dims == (4, 1, 0)
 
@@ -107,7 +107,7 @@ class TestDoubleExtend:
                 assert ext.form.matrix.entry(1 + r, 1 + c) \
                     == base.form.matrix.entry(r, c)
         # ebar o ebar lands on b0/3
-        assert ext.canonical_product.basis_product(n + 1, n + 1) \
+        assert ext.canonical_product.table[n + 1][n + 1] \
             == (Q(0), Q(1, 3), Q(0), Q(0))
 
     def test_rejects_inadmissible(self, entries):

@@ -1,6 +1,6 @@
 import pytest
 
-from symplie.lie import InvalidLieAlgebraError, LieAlgebra
+from symplie.lie import LieAlgebra
 from symplie.linalg import Matrix, Subspace, unit_vector
 from symplie.rationals import Q
 
@@ -12,9 +12,9 @@ def heisenberg3():
 class TestConstruction:
     def test_from_sparse_is_antisymmetric(self):
         g = heisenberg3()
-        assert g.bracket_basis(0, 1) == (Q(0), Q(0), Q(1))
-        assert g.bracket_basis(1, 0) == (Q(0), Q(0), Q(-1))
-        assert g.bracket_basis(2, 2) == (Q(0), Q(0), Q(0))
+        assert g.table[0][1] == (Q(0), Q(0), Q(1))
+        assert g.table[1][0] == (Q(0), Q(0), Q(-1))
+        assert g.table[2][2] == (Q(0), Q(0), Q(0))
 
     def test_from_sparse_rejects_bad_keys(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,6 @@ class TestConstruction:
 class TestValidation:
     def test_valid_table_has_no_violations(self):
         assert heisenberg3().validate() == ()
-        assert heisenberg3().require_valid() is not None
 
     def test_jacobi_violation_detected(self):
         # [a,b] = c and [a,c] = a: the cyclic sum at (a,b,c) leaves -c
@@ -63,8 +62,6 @@ class TestValidation:
         assert len(violations) == 1
         assert violations[0].triple == (0, 1, 2)
         assert violations[0].residual == (Q(0), Q(0), Q(-1))
-        with pytest.raises(InvalidLieAlgebraError):
-            bad.require_valid()
 
 
 class TestInvariants:
@@ -130,7 +127,7 @@ class TestChangeOfBasis:
             [0, 0, 0, 0, 0, 3],
         ])
         h = g.change_of_basis(t)
-        assert h.require_valid() is not None
+        assert h.validate() == ()
         assert h.lower_central_series().dims == g.lower_central_series().dims
         assert h.derived_series().dims == g.derived_series().dims
         assert h.center().dim == g.center().dim

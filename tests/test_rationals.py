@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symplie.rationals import (ONE, ZERO, Q, RationalSyntaxError, as_q,
-                               integral, parse_rational, qstr, rational)
+from symplie.errors import SymplieError
+from symplie.rationals import (ONE, ZERO, Q, RationalSyntaxError, UnwritableNumberError,
+                               as_q, integral, parse_literal, parse_rational, qstr,
+                               rational)
 
 
 class TestParse:
@@ -41,6 +43,12 @@ class TestParse:
     def test_rejects_non_string(self):
         with pytest.raises(RationalSyntaxError):
             parse_rational(7)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000])
+    def test_literal_over_the_int_string_limit(self, text):
+        with pytest.raises(RationalSyntaxError, match=r"^literal of 5000 digits exceeds "
+                                                      r"the limit of 4300 digits$"):
+            parse_literal(text)
 
 
 class TestAsQ:
@@ -81,6 +89,15 @@ class TestQstr:
     def test_round_trip(self):
         for text in ("0", "17", "-5/9", "1000000000000/7"):
             assert qstr(parse_rational(text)) == text
+
+    def test_over_the_int_string_limit(self):
+        # an internal error, not a ValueError, which the CLI reads as bad input
+        with pytest.raises(UnwritableNumberError) as info:
+            qstr(Q(10 ** 5000))
+        assert isinstance(info.value, SymplieError)
+        assert not isinstance(info.value, ValueError)
+        assert str(info.value) == ("cannot write a rational of about 5000 digits; the "
+                                   "limit for int-string conversion is 4300 digits")
 
 
 def test_constants():

@@ -29,13 +29,15 @@ SERIES = (("center", reference_center),
           ("derived_series", reference_derived_series))
 
 # Lie algebras with no symplectic form, for the non-nilpotent branches:
-# sl2 is perfect, and the others are solvable but not nilpotent
+# sl2 is perfect, and the others are solvable but not nilpotent;
+# r2_semidirect_r2 is aff(1, C) as a real algebra, a + ib acting on
+# c + id by complex multiplication
 PLAIN = {
     "sl2": LieAlgebra.from_sparse(("h", "e", "f"), {
         (0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
     "aff1": LieAlgebra.from_sparse(("x", "y"), {(0, 1): {1: 1}}),
     "r2_semidirect_r2": LieAlgebra.from_sparse(("a", "b", "c", "d"), {
-        (0, 2): {2: 1}, (0, 3): {3: -1}, (1, 2): {3: 1}}),
+        (0, 2): {2: 1}, (0, 3): {3: 1}, (1, 2): {3: 1}, (1, 3): {2: -1}}),
 }
 
 
@@ -69,6 +71,7 @@ class TestSeries:
 
     def test_plain_lie_algebras(self):
         for name, g in PLAIN.items():
+            assert not g.validate(), name
             assert_series_match(g, name)
         assert PLAIN["sl2"].lower_central_series().nilpotency_class is None
         assert PLAIN["sl2"].derived_series().dims == (3,)
