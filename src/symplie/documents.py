@@ -28,6 +28,7 @@ documents written by this module round-trip byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -263,5 +264,8 @@ def parse_document(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except ValueError:  # a number over the interpreter's int-string limit
+        raise DocumentError("not valid JSON: a number exceeds the limit of "
+                            f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise DocumentError("not valid JSON: nested too deeply") from None

@@ -32,6 +32,7 @@ conjugations, as in :mod:`linalg`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -40,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import SymplieError
 from .lie import LieAlgebra
 from .linalg import (Matrix, Subspace, Vec, accumulate, dense, int_inverse,
-                     int_matmul, int_product, int_sum, kernel, solve, sparse,
+                     int_matmul, int_sum, kernel, solve, sparse,
                      subspace_intersect, subspace_sum, unit_vector, vector)
 from .rationals import THIRD, ZERO, Q, integral, rational
 from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
@@ -184,24 +185,70 @@ def check_admissible(base: SymplecticLieAlgebra, xi: Matrix,
 
     Each is an int identity, multiplied through by its denominators:
     xi, xi* and b0 are X, S and B over one den, the products and brackets
-    the rows of their integral.
+    the rows of their integral.  Every identity is evaluated whole, at the
+    cost of its nonzero terms, and 4 and 5 name the smallest basis index
+    where they fail (see :func:`_admissibility`).
     """
     _require_flat(base)
     return _admissibility(base, *_pair_rows(base, _as_pair(base, xi, b0)))
 
 
 def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityReport:
-    """check_admissible over the rows [X | S | B] / den of :func:`_pair_rows`."""
+    """check_admissible over the rows [X | S | B] / den of :func:`_pair_rows`.
+
+    Each identity costs what its nonzero terms cost.  R_b0 and the
+    residuals of identities 4 and 5 are read off the nonzero cells of the
+    product and the bracket (:attr:`ProductTensor.nonzero_cells`): the
+    residual at (i, j) gathers its terms, each a cell against one entry
+    of a sparse row of X, S - X or 2X - S, or a cell entry against a
+    sparse column of X or S - X, and :func:`linalg.int_sum` adds them
+    once.  When R_b0 is zero (a zero product, or b0 = 0) so is R_b0*, and
+    identities 1 and 3 compare over zero rows; on a zero product
+    identities 4 and 5 have no terms at all, as the bracket
+    [x, y] = x o y - y o x is zero too.
+
+    Lemma: identity 4's residual at (i, j) is antisymmetric in (i, j), as
+    its bracket term is and e_i o xi(e_j) - e_j o xi(e_i) changes sign
+    with the swap.  So it is zero at i = j, and a nonzero one at (i, j),
+    i > j, is nonzero at (j, i) too: it suffices to sum it at i < j, and
+    the smallest i over all its nonzero residuals is the smallest i with a
+    nonzero residual at some j > i.  Both identities report their
+    smallest failing i as "fails at basis index i".
+    """
     n = base.dim
-    pden, prows = base.canonical_product.integral
-    bden, brows = base.algebra.bracket_tensor.integral
-    xs = [row[:n] for row in rows]
-    skew = [[b - a for a, b in zip(row, row[n:2 * n])] for row in rows]  # S - X
-    bs = sparse([row[2 * n] for row in rows])
-    # R_b0 = r / (den pden), column j being e_j o b0, and R_b0* = rs / (rsden den pden)
-    r = list(zip(*(int_product(prows, ((j, 1),), bs, n) for j in range(n))))
-    rsden, rs = base.form.int_adjoint(r)
-    sx = int_matmul([row[n:2 * n] for row in rows], xs)
+    product, bracket = base.canonical_product, base.algebra.bracket_tensor
+    pden, bden = product.integral[0], bracket.integral[0]
+    xs, ss = [row[:n] for row in rows], [row[n:2 * n] for row in rows]
+    skew = [[b - a for a, b in zip(x, s)] for x, s in zip(xs, ss)]  # S - X
+    b0 = [row[2 * n] for row in rows]
+    # R_b0 = r / (den pden), column j being e_j o b0, and, for 4 and 5
+    # applied to e_j with a = e_i, the terms of their residuals at (i, j):
+    #   4. xi([e_i, e_j]) - e_i o xi(e_j) + e_j o xi(e_i), times den bden pden
+    #   5. s(e_i o e_j) - d(e_i) o e_j - e_i o s(e_j), times den pden,
+    # with s = xi* - xi and d = xi* - 2 xi, which is 5 moved to one side.
+    r = [[0] * n for _ in range(n)]
+    terms4, terms5 = defaultdict(list), defaultdict(list)
+    if product.nonzero_cells:  # else the bracket is zero too
+        x_cols, s_cols = ([sparse(c) for c in zip(*m)] for m in (xs, skew))
+        x_rows, s_rows = ([sparse(row) for row in m] for m in (xs, skew))
+        neg_d_rows = [sparse([a - b for a, b in zip(x, s)]) for x, s in zip(xs, skew)]
+    for i, j, cell in bracket.nonzero_cells:
+        for k, c in cell:  # xi([e_i, e_j])
+            terms4[i, j].append((pden * c, x_cols[k]))
+    for a, m, cell in product.nonzero_cells:
+        for k, c in cell:
+            r[k][a] += b0[m] * c
+            terms5[a, m].append((c, s_cols[k]))  # s(e_a o e_m)
+        for t, e in x_rows[m]:  # -e_a o xi(e_t) and e_t o xi(e_a)
+            terms4[a, t].append((-bden * e, cell))
+            terms4[t, a].append((bden * e, cell))
+        for t, e in neg_d_rows[a]:  # -d(e_t) o e_m
+            terms5[t, m].append((e, cell))
+        for t, e in s_rows[m]:  # -e_a o s(e_t)
+            terms5[a, t].append((-e, cell))
+    # R_b0* = rs / (rsden den pden), zero with R_b0
+    rsden, rs = base.form.int_adjoint(r) if any(map(any, r)) else (1, r)
+    sx = int_matmul(ss, xs)
     x_skew = int_matmul(xs, skew)  # X S - X X
     # 1. 3 pden (X S - S X - X X) + den r = 0, 2. (S - X) B = 0 and
     # 3. 3 rsden pden S X = den (rsden r + rs)
@@ -210,43 +257,16 @@ def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityR
             3 * pden * (a - b) + den * c == 0
             for u, v, w in zip(x_skew, sx, r) for a, b, c in zip(u, v, w))),
         EquationCheck("skew_part_kills_b0", all(
-            not sum(row[k] * c for k, c in bs) for row in skew)),
+            not sum(c * d for c, d in zip(row, b0) if d) for row in skew)),
         EquationCheck("adjoint_composition", all(
             3 * rsden * pden * a == den * (rsden * b + c)
             for u, v, w in zip(sx, r, rs) for a, b, c in zip(u, v, w))),
     ]
-
-    # 4 and 5 applied to e_j with a = e_i, over the integral rows:
-    #   4. xi([e_i, e_j]) = e_i o xi(e_j) - e_j o xi(e_i), times den bden pden
-    #   5. s(e_i o e_j) - d(e_i) o e_j - e_i o s(e_j) = 0, times den pden,
-    # with s = xi* - xi and d = xi* - 2 xi, which is 5 moved to one side.
-    # Identity 4 is antisymmetric in (i, j), so a failing pair shows at
-    # its smaller index first and j > i suffices there.
-    x = [sparse(c) for c in zip(*xs)]
-    s = [sparse(c) for c in zip(*skew)]
-    neg_d = [sparse([a - b for a, b in zip(u, v)]) for u, v in zip(zip(*xs), zip(*skew))]
-
-    def fails4(i, j):
-        return any(int_sum([(pden * c, x[k]) for k, c in brows[i][j]]
-                           + [(-bden * c, prows[i][k]) for k, c in x[j]]
-                           + [(bden * c, prows[j][k]) for k, c in x[i]], n))
-
-    def fails5(i, j):
-        return any(int_sum([(c, s[k]) for k, c in prows[i][j]]
-                           + [(c, prows[k][j]) for k, c in neg_d[i]]
-                           + [(-c, prows[i][k]) for k, c in s[j]], n))
-
-    # each identity is evaluated up to its first failing index
-    fail4 = fail5 = None
-    for i in range(n):
-        if fail4 is None and any(fails4(i, j) for j in range(i + 1, n)):
-            fail4 = i
-        if fail5 is None and any(fails5(i, j) for j in range(n)):
-            fail5 = i
-        if fail4 is not None and fail5 is not None:
-            break
-    for name, fail in (("bracket_compatibility", fail4),
-                       ("left_mult_compatibility", fail5)):
+    # identity 4 at i < j only, by the lemma above
+    fail4 = min((i for (i, j), ts in terms4.items() if i < j and any(int_sum(ts, n))),
+                default=None)
+    fail5 = min((i for (i, _), ts in terms5.items() if any(int_sum(ts, n))), default=None)
+    for name, fail in (("bracket_compatibility", fail4), ("left_mult_compatibility", fail5)):
         checks.append(EquationCheck(name, fail is None, "" if fail is None
                                     else f"fails at basis index {fail}"))
     return AdmissibilityReport(tuple(checks))

@@ -131,7 +131,7 @@ def int_sum(terms, n: int) -> list:
 
 def sparse(v: Sequence) -> tuple:
     """The nonzero (k, v_k) of a vector."""
-    return tuple((k, c) for k, c in enumerate(v) if c)
+    return tuple([(k, c) for k, c in enumerate(v) if c])
 
 
 def dense(pairs, n: int) -> list:
@@ -770,6 +770,12 @@ class ProductTensor:
         """The largest |num| of :attr:`integral` (0 for the zero product)."""
         return max([abs(x) for row in self.integral[1] for cell in row for _, x in cell],
                    default=0)
+
+    @cached_property
+    def nonzero_cells(self) -> tuple:
+        """The (a, m, cell) with e_a o e_m = cell / den nonzero, row by row."""
+        return tuple((a, m, cell) for a, row in enumerate(self.integral[1])
+                     for m, cell in enumerate(row) if cell)
 
     @cached_property
     def columns(self) -> tuple:

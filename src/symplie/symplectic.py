@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -263,7 +264,9 @@ class SymplecticLieAlgebra:
         docstring.  Column w of W^-1's numerators is packed over k
         (:func:`linalg.pack`), so a cell -sum_w phi_w inv[k][w] is n
         big-int multiply-adds, unpacked once; each slot is at most
-        2n max|inv| max|c|."""
+        2n max|inv| max|c|.  The denominator and every numerator are
+        divided by their one gcd as each cell is made sparse, so the
+        tensor is built canonical in that one pass."""
         n = self.dim
         # the dual matrix -W^-1 is -inv / iden
         iden, inv = self.form.int_inverse
@@ -281,9 +284,12 @@ class SymplecticLieAlgebra:
                 acc = 0
                 for w, col in enumerate(cols):
                     acc -= (cij[w] + ci[w][j]) * col
-                cells.append(sparse(unpack(acc, n, bits)) if acc else ())
+                cells.append(unpack(acc, n, bits) if acc else ())
             rows.append(cells)
-        return ProductTensor.from_integral(n, 3 * cden * iden, rows)
+        g = gcd(3 * cden * iden, *(x for row in rows for cell in row for x in cell))
+        return ProductTensor._of(n, 3 * cden * iden // g, tuple(tuple(
+            tuple([(k, x // g) for k, x in enumerate(cell) if x]) for cell in row)
+            for row in rows))
 
     @cached_property
     def natural_product(self) -> ProductTensor:

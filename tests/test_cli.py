@@ -452,6 +452,18 @@ class TestLongNumbers:
         assert err == ("error: omega[0].value: literal of 5000 digits exceeds "
                        "the limit of 4300 digits\n")
 
+    def test_json_number_over_the_limit(self, capsys, tmp_path):
+        doc = tmp_path / "long.json"
+        doc.write_text('{"dim": ' + "9" * 5000 + ', "basis": []}')
+        rc, out, err = run(capsys, "verify", str(doc))
+        assert rc == 1 and out == ""
+        assert err == "error: not valid JSON: a number exceeds the limit of 4300 digits\n"
+        xi = "[[" + "1" * 5000 + ", 0], [0, 0]]"
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2", "--xi", xi,
+                           "--b0", "zero")
+        assert rc == 1 and out == ""
+        assert err == "error: not valid JSON: a number exceeds the limit of 4300 digits\n"
+
     def test_unwritable_tower(self, capsys, tmp_path):
         # g6_3 in the basis L U, unitriangular factors with 20-digit
         # entries: its literals have at most 179 digits, its reduction

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (all_cells_derived_subspace, generator_product_from_integral,
-                     span_derived_series, span_lower_central_series,
+                     n4_canonical_product, span_derived_series, span_lower_central_series,
                      sum_fingerprint, two_pass_lie_from_integral)
 from symplie import catalog, linalg
 from symplie.catalog import classify_upto6, fingerprint, wedge_form
@@ -214,15 +214,17 @@ def checked_from_integral(monkeypatch):
 
 
 def test_from_integral_on_the_workloads(entries, checked_from_integral):
-    """The sweep's extensions, documents, changes of basis and splits, and
-    the canonical products of all of them."""
+    """The sweep's extensions, documents, changes of basis and splits.  The
+    canonical product of each is built canonical without from_integral and
+    compared with n4_canonical_product, which goes through it."""
     for fam in catalog.family_names():
         base = catalog.get(catalog.FAMILY_BASES[fam]).algebra
         for params in catalog.family_parameter_grid(fam):
             ext = double_extend(base, catalog.admissible_family(fam, params)[1])
-            assert ext.canonical_product is not None
+            assert ext.canonical_product == n4_canonical_product(ext)
     for _, s in dense_bases(entries):
-        document_to_algebra(algebra_to_document(s))[0].canonical_product
+        doc = document_to_algebra(algebra_to_document(s))[0]
+        assert doc.canonical_product == n4_canonical_product(doc)
         if s.is_flat:
             reduction_tower(s)
     assert checked_from_integral["lie"] > 439 + 36

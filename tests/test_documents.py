@@ -155,9 +155,12 @@ class TestAlgebraDocumentErrors:
         self.assert_fails(doc, "meta: expected an object")
 
     def test_parse_document_rejects_bad_json(self):
-        with pytest.raises(DocumentError) as info:
-            parse_document("{not json")
-        assert "not valid JSON" in str(info.value)
+        # the second is a number over the interpreter's int-string limit
+        for text in ("{not json", '{"dim": ' + "9" * 5000 + "}"):
+            with pytest.raises(DocumentError) as info:
+                parse_document(text)
+            assert "not valid JSON" in str(info.value)
+        assert str(info.value).endswith(": a number exceeds the limit of 4300 digits")
 
 
 class TestPairDocuments:

@@ -6,7 +6,9 @@ omega-brackets instead of the adapted canonical product.  Each step is
 compared with fraction_inverse_double_extend in oracles.py on fresh
 objects, over the catalog, the dense bases, every central direction of
 the center bases and random invertible bases; the checks that certify a
-split are shown to still fire.
+split are shown to still fire.  Over the same random bases, the
+fingerprint, the class and the structural report are shown not to
+depend on the basis.
 """
 
 from functools import cached_property
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 
 from oracles import fraction_inverse_double_extend
 from symplie import catalog, extension
+from symplie.catalog import classify_upto6, fingerprint
 from symplie.extension import (AdmissiblePair, ExtensionInvariantError, check_admissible,
                                inverse_double_extend, reduction_tower, tower_pairs)
 from symplie.lie import LieAlgebra
 from symplie.linalg import Matrix, ProductTensor, rank
 from symplie.rationals import ZERO, Q, integral
-from symplie.symplectic import SkewForm, SymplecticLieAlgebra, change_of_basis
+from symplie.symplectic import (SkewForm, SymplecticLieAlgebra, change_of_basis,
+                                structural_report)
 from test_sparse_kernels import dense_bases
 
 FLAT = [n for n in catalog.names() if n != "aff1" and catalog.get(n).algebra.dim > 0]
@@ -68,19 +72,34 @@ def test_every_central_direction():
 
 @st.composite
 def flat_in_random_basis(draw):
-    s = catalog.get(draw(st.sampled_from(FLAT))).algebra
+    """A flat catalog entry's name, and the entry in a random invertible basis."""
+    name = draw(st.sampled_from(FLAT))
+    s = catalog.get(name).algebra
     n = s.dim
     entry = st.one_of(st.just(ZERO), st.builds(Q, st.integers(-3, 3).filter(bool),
                                                   st.sampled_from((1, 2, 3))))
     t = Matrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(n)])
     assume(rank(t) == n)
-    return change_of_basis(s, t)
+    return name, change_of_basis(s, t)
 
 
 @settings(max_examples=40, deadline=None)
 @given(flat_in_random_basis())
-def test_random_invertible_bases(s):
+def test_random_invertible_bases(named):
+    _, s = named
     assert_same_step(s, s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(flat_in_random_basis())
+def test_invariants_under_random_invertible_bases(named):
+    """The fingerprint, the class and the structural report's verdict do
+    not depend on the basis."""
+    name, s = named
+    entry = catalog.get(name)
+    assert fingerprint(s) == fingerprint(entry.algebra), name
+    assert classify_upto6(s) == entry.expected_class, name
+    assert structural_report(s).ok(), name
 
 
 def record(monkeypatch, cls, name, seen):

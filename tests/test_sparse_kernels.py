@@ -1,8 +1,8 @@
 """The sparse kernels against the dense formulations they replaced.
 
 The Lie series and the center are cached per algebra and built from the
-nonzero bracket entries; identities 4 and 5 of check_admissible are
-evaluated per basis pair over the nonzero product entries.  Each is
+nonzero bracket entries; R_b0 and identities 4 and 5 of check_admissible
+are summed over the nonzero product and bracket cells.  Each is
 compared with its reference in oracles.py, which brackets full vectors
 and builds one Matrix identity per basis index.
 """
@@ -19,7 +19,7 @@ from symplie.catalog import admissible_family, family_names, family_parameter_gr
 from symplie.extension import check_admissible, reduction_tower
 from symplie.lie import LieAlgebra
 from symplie.linalg import Matrix
-from symplie.symplectic import change_of_basis
+from symplie.symplectic import SkewForm, change_of_basis
 from test_extension import random_admissible_pairs
 from test_kernels import dense_change_of_basis
 
@@ -121,6 +121,44 @@ class TestCheckAdmissible:
                 assert report.admissible
                 count += 1
         assert count == 439
+
+    def test_bracket_compatibility_alone(self, entries):
+        """Non-nilpotent xi on r_h3_dim4 for which identity 4 holds or fails
+        by itself: e_i o xi(e_j) and e_j o xi(e_i) must both count, with
+        their signs."""
+        base = entries["r_h3_dim4"].algebra
+        for d, holds in ((-1, True), (1, False)):
+            xi = Matrix.from_rows([[2, 0, 0, 0], [0, d, 0, 0], [0] * 4, [0] * 4])
+            report = assert_same_report(base, xi, (0,) * 4, d)
+            assert report.checks[3].name == "bracket_compatibility"
+            assert report.checks[3].holds is holds, d
+
+    def test_nonzero_cells(self, entries):
+        for entry in entries.values():
+            s = entry.algebra
+            for t in (s.canonical_product, s.algebra.bracket_tensor):
+                assert [(a, m) for a, m, _ in t.nonzero_cells] == [
+                    (a, m) for a in range(s.dim) for m in range(s.dim) if any(t.table[a][m])]
+                assert all(cell == t.integral[1][a][m] for a, m, cell in t.nonzero_cells)
+
+    def test_adjoint_of_r_b0_only_when_nonzero(self, family_sweep, monkeypatch):
+        """R_b0* is computed only when R_b0 is nonzero: on a zero product
+        or with b0 = 0 the one int_adjoint call is the one for xi*."""
+        calls = []
+        original = SkewForm.int_adjoint
+        monkeypatch.setattr(SkewForm, "int_adjoint",
+                            lambda self, rows: calls.append(rows) or original(self, rows))
+        skipped = 0
+        for fam, points in family_sweep.items():
+            base = catalog.get(catalog.FAMILY_BASES[fam]).algebra
+            for params, pair, _, _ in points:
+                calls.clear()
+                check_admissible(base, pair.xi, pair.b0)
+                zero = base.canonical_product.right(pair.b0).is_zero()
+                assert len(calls) == (1 if zero else 2), (fam, params)
+                skipped += zero
+        # the 302 points on abelian bases and 109 on r_h3_dim4
+        assert skipped == 411
 
     def test_random_admissible_pairs(self, entries):
         bases = {name: entries[name].algebra for name in
