@@ -182,7 +182,7 @@ def fingerprint(algebra) -> Fingerprint:
     derived = algebra.derived_subspace()
     # dim(Z meet D) is the smaller dimension when one contains the other,
     # and else dim Z + dim D - dim(Z + D)
-    if derived.is_subspace_of(center):
+    if algebra.derived_in_center:
         meet = derived.dim
     elif center.is_subspace_of(derived):
         meet = center.dim

@@ -140,7 +140,7 @@ def _parse_xi(raw: str, n: int) -> list:
         return [[(0, 1)] * n for _ in range(n)]
     # inline JSON starts a list or an object; anything else names a file
     text = raw if raw.lstrip().startswith(("[", "{")) else Path(raw).read_text()
-    rows = parse_document(text)
+    rows = parse_document(text, "--xi")
     if not isinstance(rows, list) or len(rows) != n \
             or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise ValueError(f"--xi must be a {n}x{n} array")
@@ -166,7 +166,7 @@ def _cmd_extend(args) -> int:
     if args.pair:
         if args.xi or args.b0:
             raise ValueError("give --pair or (--xi, --b0), not both")
-        pair = document_to_pair(parse_document(Path(args.pair).read_text()))
+        pair = document_to_pair(parse_document(Path(args.pair).read_text(), "--pair"))
         if pair.base_dim != base.dim:
             raise ValueError(
                 f"pair is for base dimension {pair.base_dim}, input has {base.dim}")

@@ -259,13 +259,16 @@ def dumps_document(doc: Mapping) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_document(text: str) -> dict:
+def parse_document(text: str, option: str = "") -> dict:
+    """The JSON value of text; an error names the option the text came
+    from, when one is given, as in ``--xi: not valid JSON: ...``."""
+    where = f"{option}: not valid JSON" if option else "not valid JSON"
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from None
+        raise DocumentError(f"{where}: {exc}") from None
     except ValueError:  # a number over the interpreter's int-string limit
-        raise DocumentError("not valid JSON: a number exceeds the limit of "
+        raise DocumentError(f"{where}: a number exceeds the limit of "
                             f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
-        raise DocumentError("not valid JSON: nested too deeply") from None
+        raise DocumentError(f"{where}: nested too deeply") from None

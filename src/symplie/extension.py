@@ -6,12 +6,14 @@ e is central and omega-dual to ebar, both are orthogonal to the old
 algebra, and the new structure is determined by an endomorphism xi of
 the base together with a base vector b0.  The pair (xi, b0) must satisfy
 five compatibility identities, checked by :func:`check_admissible`.
-The extension is born over integer numerators: xi, its omega-adjoint
-xi* and b0 are int rows over one denominator, computed once per
-:func:`double_extend` and shared by the admissibility check and the
-assembly, and the new bracket and form are built from their numerators
-by :meth:`LieAlgebra.from_integral` and :meth:`SkewForm.from_integral`,
-which keep them.
+The extension is born over integer numerators, and what depends on the
+base alone is computed once per base and shared by every pair over it:
+the inverse of its form, the nonzero cells of its product and bracket,
+the extension's form (:attr:`SkewForm.extension_form`) and its basis
+names.  Per pair, :func:`_pair_rows` reads xi and b0 off the pair's
+int rows and adds xi*, all over one denominator, once per
+:func:`double_extend`; the admissibility check and the assembly of the
+bracket by :meth:`LieAlgebra.from_integral` share those rows.
 
 Conversely :func:`inverse_double_extend` splits any flat algebra along a
 central isotropic line and recovers a pair that rebuilds it exactly.  In
@@ -34,8 +36,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from math import lcm
+from operator import matmul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import SymplieError
@@ -44,7 +47,7 @@ from .linalg import (Matrix, Subspace, Vec, accumulate, dense, int_inverse,
                      int_matmul, int_sum, kernel, solve, sparse,
                      subspace_intersect, subspace_sum, unit_vector, vector)
 from .rationals import THIRD, ZERO, Q, integral, rational
-from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra,
+from .symplectic import (SkewForm, SubspaceClass, SymplecticLieAlgebra, bordered,
                          change_of_basis, classify_subspace, perp)
 
 
@@ -147,19 +150,18 @@ def _require_flat(base: SymplecticLieAlgebra) -> None:
 
 def _pair_rows(base: SymplecticLieAlgebra, pair: AdmissiblePair) -> tuple:
     """(den, rows): row k of [X | S | B] as ints over one den, with
-    xi = X / den, its omega-adjoint xi* = S / den and b0 = B / den; S
-    comes from :meth:`SkewForm.int_adjoint` on the numerators of xi."""
+    xi = X / den, its omega-adjoint xi* = S / den and b0 = B / den.
+
+    They are read straight off pair.integral = (pden, [X' | B']): S comes
+    from :meth:`SkewForm.int_adjoint` on X', over sden, so den = sden pden,
+    X = sden X' and B = sden B'."""
     n = base.dim
     if pair.base_dim != n:
         raise ValueError(f"xi must be {n}x{n}")
-    xden, xs = pair.xi.integral
-    sden, ss = base.form.int_adjoint(xs)
-    sden *= xden  # xi* = ss / sden
     pden, ps = pair.integral
-    den = lcm(sden, pden)
-    fp, fs = den // pden, den // sden
-    return den, [[fp * a for a in p[:n]] + [fs * a for a in s] + [fp * p[n]]
-                 for p, s in zip(ps, ss)]
+    sden, ss = base.form.int_adjoint([p[:n] for p in ps])
+    return sden * pden, [[sden * a for a in p[:n]] + s + [sden * p[n]]
+                         for p, s in zip(ps, ss)]
 
 
 def _as_pair(base: SymplecticLieAlgebra, xi: Matrix, b0: Sequence) -> AdmissiblePair:
@@ -202,10 +204,12 @@ def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityR
     residual at (i, j) gathers its terms, each a cell against one entry
     of a sparse row of X, S - X or 2X - S, or a cell entry against a
     sparse column of X or S - X, and :func:`linalg.int_sum` adds them
-    once.  When R_b0 is zero (a zero product, or b0 = 0) so is R_b0*, and
-    identities 1 and 3 compare over zero rows; on a zero product
-    identities 4 and 5 have no terms at all, as the bracket
-    [x, y] = x o y - y o x is zero too.
+    once.  When R_b0 is zero (a zero product, or b0 = 0) so is R_b0*:
+    identities 1 and 3 become X S - X X = S X and S X = 0, and each is
+    one comparison of whole int rows, with no R_b0* computed.  On a zero
+    product identities 4 and 5 have no terms at all, as the bracket
+    [x, y] = x o y - y o x is zero too.  All five are evaluated on every
+    call.
 
     Lemma: identity 4's residual at (i, j) is antisymmetric in (i, j), as
     its bracket term is and e_i o xi(e_j) - e_j o xi(e_i) changes sign
@@ -246,22 +250,23 @@ def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityR
             terms5[t, m].append((e, cell))
         for t, e in s_rows[m]:  # -e_a o s(e_t)
             terms5[a, t].append((-e, cell))
-    # R_b0* = rs / (rsden den pden), zero with R_b0
-    rsden, rs = base.form.int_adjoint(r) if any(map(any, r)) else (1, r)
     sx = int_matmul(ss, xs)
     x_skew = int_matmul(xs, skew)  # X S - X X
-    # 1. 3 pden (X S - S X - X X) + den r = 0, 2. (S - X) B = 0 and
-    # 3. 3 rsden pden S X = den (rsden r + rs)
-    checks = [
-        EquationCheck("commutator_with_adjoint", all(
-            3 * pden * (a - b) + den * c == 0
-            for u, v, w in zip(x_skew, sx, r) for a, b, c in zip(u, v, w))),
-        EquationCheck("skew_part_kills_b0", all(
-            not sum(c * d for c, d in zip(row, b0) if d) for row in skew)),
-        EquationCheck("adjoint_composition", all(
-            3 * rsden * pden * a == den * (rsden * b + c)
-            for u, v, w in zip(sx, r, rs) for a, b, c in zip(u, v, w))),
-    ]
+    if any(map(any, r)):
+        # R_b0* = rs / (rsden den pden); 1. 3 pden (X S - S X - X X) + den r = 0
+        # and 3. 3 rsden pden S X = den (rsden r + rs)
+        rsden, rs = base.form.int_adjoint(r)
+        holds1 = all(3 * pden * (a - b) + den * c == 0
+                     for u, v, w in zip(x_skew, sx, r) for a, b, c in zip(u, v, w))
+        holds3 = all(3 * rsden * pden * a == den * (rsden * b + c)
+                     for u, v, w in zip(sx, r, rs) for a, b, c in zip(u, v, w))
+    else:  # R_b0 = R_b0* = 0: 1. X S - X X = S X and 3. S X = 0, row by row
+        holds1, holds3 = x_skew == sx, not any(map(any, sx))
+    # 2. (S - X) B = 0
+    checks = [EquationCheck("commutator_with_adjoint", holds1),
+              EquationCheck("skew_part_kills_b0", all(
+                  not sum(c * d for c, d in zip(row, b0) if d) for row in skew)),
+              EquationCheck("adjoint_composition", holds3)]
     # identity 4 at i < j only, by the lemma above
     fail4 = min((i for (i, j), ts in terms4.items() if i < j and any(int_sum(ts, n))),
                 default=None)
@@ -275,16 +280,11 @@ def _admissibility(base: SymplecticLieAlgebra, den: int, rows) -> AdmissibilityR
 # ---------------------------------------------------------------------------
 # forward construction
 
-def _bordered(rows, corners) -> list:
-    """The square int rows as the middle block of the [e, base..., ebar]
-    layout.
-
-    corners ((a, b), (c, d)) are the entries at (e, e), (e, ebar),
-    (ebar, e) and (ebar, ebar); the rest of the border is zero.
-    """
-    (a, b), (c, d) = corners
-    pad = [0] * len(rows)
-    return [[a, *pad, b], *([0, *row, 0] for row in rows), [c, *pad, d]]
+@cache
+def _names(m: int) -> tuple:
+    """e1, ..., em: the basis names of an extension of dimension m and of
+    an adapted basis."""
+    return tuple(f"e{k + 1}" for k in range(m))
 
 
 def build_extension_candidate(base: SymplecticLieAlgebra, xi: Matrix,
@@ -309,7 +309,8 @@ def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebr
       [a, b]    = [a, b]_B + omega_B((xi + xi*)(a), b) e
       [a, ebar] = (2 xi - xi*)(a) - omega_B(b0, a) e
 
-    with omega_B(u, e_q) = (u^T W)_q, all over bden den wden.
+    with omega_B(u, e_q) = (u^T W)_q, all over bden den wden.  The form
+    is the base's :attr:`SkewForm.extension_form`, shared by every pair.
     """
     n = base.dim
     bden, brows = base.algebra.bracket_tensor.integral
@@ -327,10 +328,8 @@ def _assemble(base: SymplecticLieAlgebra, den: int, rows) -> SymplecticLieAlgebr
         brackets[(1 + p, n + 1)] = ((0, -bden * b0_w[p]),
                                     *((1 + k, bw * (2 * row[p] - row[n + p]))
                                       for k, row in enumerate(rows)))
-    names = tuple(f"e{k + 1}" for k in range(n + 2))
-    algebra = LieAlgebra.from_integral(names, bden * dw, brackets)
-    form = SkewForm.from_integral(wden, _bordered(w, ((0, wden), (-wden, 0))))
-    return SymplecticLieAlgebra(algebra, form)
+    return SymplecticLieAlgebra(LieAlgebra.from_integral(_names(n + 2), bden * dw, brackets),
+                                base.form.extension_form)
 
 
 def double_extend(base: SymplecticLieAlgebra,
@@ -427,7 +426,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     tden = lcm(*(d for d, _ in cols))
     transform = Matrix.from_integral(tden, list(zip(*([x * (tden // d) for x in v]
                                                       for d, v in cols))))
-    adapted = change_of_basis(s, transform, tuple(f"e{k + 1}" for k in range(n2)))
+    adapted = change_of_basis(s, transform, _names(n2))
 
     # the base is the middle block of the adapted bracket and form
     aden, arows = adapted.algebra.bracket_tensor.integral
@@ -573,7 +572,7 @@ def _compose_tower(steps: Sequence[ReductionStep]) -> tuple:
                                                   int_matmul(int_matmul(inv, rows), diag)))
         # w becomes transform @ diag(1, w, 1) in the [e, base..., ebar] layout
         tden, trows = step.transform.integral
-        w = int_matmul(trows, _bordered(w, ((wden, 0), (0, wden))))
+        w = int_matmul(trows, bordered(w, ((wden, 0), (0, wden))))
         wden *= tden
     return pairs, Matrix.from_integral(wden, w)
 
@@ -634,19 +633,13 @@ def nilpotency_trace_report(base: SymplecticLieAlgebra,
     xi_star = Matrix.from_integral(den, [row[n:2 * n] for row in rows])
     r_b0 = p.right(pair.b0)
 
-    power = Matrix.identity(n)
-    powers = [power]  # powers[k] = xi^k
+    powers = [Matrix.identity(n)]  # powers[k] = xi^k
     for _ in range(n + 1):
-        power = power @ xi
-        powers.append(power)
+        powers.append(powers[-1] @ xi)
 
-    traces_ok = True
-    for k in range(1, n + 1):
-        for i in range(n):
-            lhs = (powers[k] @ p.right(unit_vector(n, i))).trace()
-            rhs = p.right(powers[k].col(i)).trace()
-            if lhs != rhs:
-                traces_ok = False
+    traces_ok = all((powers[k] @ p.right(unit_vector(n, i))).trace()
+                    == p.right(powers[k].col(i)).trace()
+                    for k in range(1, n + 1) for i in range(n))
     xi_traces_ok = all(
         powers[k + 1].trace() == THIRD * (r_b0 @ powers[k - 1]).trace()
         for k in range(1, n + 1))
@@ -655,11 +648,9 @@ def nilpotency_trace_report(base: SymplecticLieAlgebra,
     xi_nil = d_nil = None
     if base_nilpotent:
         d = xi_star - xi.scale(Q(2))
-        xi_nil = powers[n].is_zero() if n else True
-        dp = Matrix.identity(n)
-        for _ in range(n):
-            dp = dp @ d
-        d_nil = dp.is_zero() if n else True
+        # at n = 0 the power is the empty matrix, which is zero
+        xi_nil = powers[n].is_zero()
+        d_nil = reduce(matmul, [d] * n, Matrix.identity(n)).is_zero()
 
     sq_zero = isotropic = None
     if base.algebra.is_abelian() and n == 4:

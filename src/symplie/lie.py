@@ -168,6 +168,12 @@ class LieAlgebra:
         return Subspace.from_integral(n, [dense(rows[i][j], n) for i in range(n)
                                           for j in range(i + 1, n) if rows[i][j]])
 
+    @cached_property
+    def derived_in_center(self) -> bool:
+        """Whether [g, g] lies in the center, decided once: it makes C^3
+        and D^2 zero, and gives dim(Z meet D) = dim D in the fingerprint."""
+        return self.derived_subspace().is_subspace_of(self.center())
+
     def _bracket_span(self, pairs) -> Subspace:
         """The span of [u, v] over the pairs (u, v), each vector given by
         its nonzero (k, num), in one elimination over ints."""
@@ -182,7 +188,8 @@ class LieAlgebra:
         zero algebra has class 0 and a nonzero abelian algebra class 1),
         or None when the series stabilizes at a nonzero term.  A term in
         the center is followed by zero without a bracket span: [g, C] = 0
-        exactly when C lies in the center.
+        exactly when C lies in the center.  For C^2 = [g, g] that test is
+        the shared :attr:`derived_in_center`.
         """
         return self._lower_central_series
 
@@ -190,32 +197,35 @@ class LieAlgebra:
     def _lower_central_series(self) -> "LowerCentralSeries":
         units = [((i, 1),) for i in range(self.dim)]
         terms = [Subspace.full(self.dim)]
-        nxt = self.derived_subspace()  # C^2 = [g, g]
+        nxt, central = self.derived_subspace(), self.derived_in_center  # C^2 = [g, g]
         while nxt != terms[-1]:
             terms.append(nxt)
-            nxt = (Subspace.zero(self.dim) if nxt.is_subspace_of(self.center()) else
+            nxt = (Subspace.zero(self.dim) if central else
                    self._bracket_span((e, v) for e in units for v in nxt.integral))
+            central = nxt.is_subspace_of(self.center())
         nilpotent = terms[-1].dim == 0
         cls: Optional[int] = len(terms) - 1 if nilpotent else None
         return LowerCentralSeries(tuple(terms), cls)
 
     def derived_series(self) -> "DerivedSeries":
         """D^1 = [g, g], D^{k+1} = [D^k, D^k], until it stabilizes; a term
-        in the center is abelian, so zero follows it without a bracket span."""
+        in the center is abelian, so zero follows it without a bracket span.
+        For D^1 that test is the shared :attr:`derived_in_center`."""
         return self._derived_series
 
     @cached_property
     def _derived_series(self) -> "DerivedSeries":
-        terms = [self.derived_subspace()]
+        terms, central = [self.derived_subspace()], self.derived_in_center
         while True:
             cols = terms[-1].integral
             # [u, u] = 0 and [v, u] = -[u, v], so the pairs a < b span it
-            nxt = (Subspace.zero(self.dim) if terms[-1].is_subspace_of(self.center()) else
+            nxt = (Subspace.zero(self.dim) if central else
                    self._bracket_span((cols[a], cols[b]) for a in range(len(cols))
                                       for b in range(a + 1, len(cols))))
             if nxt == terms[-1]:
                 break
             terms.append(nxt)
+            central = nxt.is_subspace_of(self.center())
         return DerivedSeries(tuple(terms), terms[-1].dim == 0)
 
     def is_nilpotent(self) -> bool:

@@ -61,6 +61,18 @@ class FlatnessInvariantError(SymplieError):
 # ---------------------------------------------------------------------------
 # skew forms
 
+def bordered(rows, corners) -> list:
+    """The square int rows as the middle block of the [e, base..., ebar]
+    layout of a double extension.
+
+    corners ((a, b), (c, d)) are the entries at (e, e), (e, ebar),
+    (ebar, e) and (ebar, ebar); the rest of the border is zero.
+    """
+    (a, b), (c, d) = corners
+    pad = [0] * len(rows)
+    return [[a, *pad, b], *([0, *row, 0] for row in rows), [c, *pad, d]]
+
+
 @dataclass(frozen=True)
 class SkewForm:
     """A bilinear form by its Gram matrix W, W[i][j] = omega(e_i, e_j).
@@ -95,6 +107,15 @@ class SkewForm:
     def int_rows(self) -> list:
         """The numerator rows of :attr:`matrix` as int lists."""
         return [list(r) for r in self.matrix.integral[1]]
+
+    @cached_property
+    def extension_form(self) -> "SkewForm":
+        """The form of every double extension over this one: omega in the
+        [e, base..., ebar] layout, with omega(e, ebar) = 1 and e, ebar
+        orthogonal to the base.  It depends on this form alone, so all
+        the extensions over one base share it."""
+        wden, w = self.matrix.integral
+        return SkewForm.from_integral(wden, bordered(w, ((0, wden), (-wden, 0))))
 
     def pair(self, u: Sequence, v: Sequence):
         return vdot(vector(u), self.matrix.apply(vector(v)))

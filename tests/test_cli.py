@@ -230,6 +230,20 @@ class TestExtend:
                          "--pair", str(pair_path))
         assert rc == 1 and "base dimension 4" in err
 
+    def test_malformed_json_names_its_option(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2",
+                           "--xi", "[[1, 0], [0", "--b0", "zero")
+        assert rc == 1 and out == ""
+        assert err == ("error: --xi: not valid JSON: "
+                       "Expecting ',' delimiter: line 1 column 12 (char 11)\n")
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text('{"base_dim": 2,')
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2",
+                           "--pair", str(pair_path))
+        assert rc == 1 and out == ""
+        assert err == ("error: --pair: not valid JSON: Expecting property name "
+                       "enclosed in double quotes: line 1 column 16 (char 15)\n")
+
     def test_empty_b0_and_inline_object_xi(self, capsys):
         # an empty --b0 lists no rationals, which only a dim-0 base accepts
         rc, _, err = run(capsys, "extend", "--catalog", "abelian2",
@@ -462,7 +476,7 @@ class TestLongNumbers:
         rc, out, err = run(capsys, "extend", "--catalog", "abelian2", "--xi", xi,
                            "--b0", "zero")
         assert rc == 1 and out == ""
-        assert err == "error: not valid JSON: a number exceeds the limit of 4300 digits\n"
+        assert err == "error: --xi: not valid JSON: a number exceeds the limit of 4300 digits\n"
 
     def test_unwritable_tower(self, capsys, tmp_path):
         # g6_3 in the basis L U, unitriangular factors with 20-digit

@@ -13,7 +13,7 @@ from symplie.extension import (AdmissiblePair, NotAdmissibleError,
 from symplie.linalg import Matrix, Subspace, unit_vector
 from symplie.rationals import Q
 from symplie.symplectic import (InvalidSymplecticError, SkewForm,
-                                SymplecticLieAlgebra, change_of_basis,
+                                SymplecticLieAlgebra, bordered, change_of_basis,
                                 symplectic_violations, validate_symplectic)
 from test_kernels import dense_change_of_basis
 
@@ -118,7 +118,9 @@ class TestDoubleExtend:
 
     def test_xi_star_computed_once(self, entries, monkeypatch):
         """double_extend computes xi* once, as int rows, and shares it
-        between the identity check and the assembly."""
+        between the identity check and the assembly.  It is computed on
+        the xi block of the pair's int rows, so the point is one whose b0
+        adds a denominator to xi's."""
         calls = []
         original = SkewForm.int_adjoint
 
@@ -134,16 +136,32 @@ class TestDoubleExtend:
         monkeypatch.setattr(SkewForm, "adjoint_map", no_scalar_adjoint)
         points = (catalog.admissible_family(fam, params) for fam in catalog.family_names()
                   for params in catalog.family_parameter_grid(fam))
-        base_name, pair = next(pt for pt in points if not pt[1].xi.is_zero())
+        base_name, pair = next(pt for pt in points if not pt[1].xi.is_zero()
+                               and pt[1].integral[0] != pt[1].xi.integral[0])
         base = entries[base_name].algebra
         base = SymplecticLieAlgebra(base.algebra, base.form)
-        xden, xs = pair.xi.integral
+        pden, prows = pair.integral
+        xs = [list(r[:-1]) for r in prows]
         double_extend(base, pair)
-        stars = [out for rows, out in calls if rows == [list(r) for r in xs]]
+        stars = [out for rows, out in calls if rows == xs]
         assert len(stars) == 1
         den, star = stars[0]
-        assert Matrix.from_integral(den * xden, star) \
+        assert Matrix.from_integral(den * pden, star) \
             == base.form.inverse_matrix @ pair.xi.transpose() @ base.form.matrix
+
+    def test_extensions_of_a_base_share_its_form(self, family_sweep):
+        """Every extension over one base carries the one bordered form,
+        omega_B in the middle and omega(e, ebar) = 1, built once per base."""
+        for fam, points in family_sweep.items():
+            base = catalog.get(catalog.FAMILY_BASES[fam]).algebra
+            wden, w = base.form.matrix.integral
+            expected = SkewForm.from_integral(wden, bordered(w, ((0, wden), (-wden, 0))))
+            forms = [ext.form for _, _, ext, _ in points]
+            assert all(f == expected for f in forms), fam
+            assert all(f is forms[0] for f in forms), fam
+            # the same form object on another extension of the same base
+            ext = double_extend(base, points[0][1])
+            assert ext.form == expected and ext.form is base.form.extension_form
 
     def test_inadmissible_candidate_really_breaks(self, entries):
         # the unchecked build must fail the axioms, not silently succeed

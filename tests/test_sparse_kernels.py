@@ -90,6 +90,20 @@ class TestSeries:
         for label, s in moved:
             assert_series_match(s.algebra, label)
 
+    def test_derived_in_center(self, entries):
+        """The flag the series and the fingerprint read, against the
+        containment test it replaces, on the entries and in dense bases."""
+        algebras = [(name, e.algebra.algebra) for name, e in entries.items()]
+        algebras += [(label, s.algebra) for label, s in dense_bases(entries)]
+        algebras += list(PLAIN.items())
+        flags = set()
+        for label, g in algebras:
+            fresh = LieAlgebra(g.basis_names, g.table)
+            expected = fresh.derived_subspace().is_subspace_of(fresh.center())
+            assert fresh.derived_in_center is expected, label
+            flags.add(expected)
+        assert flags == {True, False}
+
     def test_cached_on_the_algebra(self, entries):
         g = LieAlgebra(entries["g6_3"].algebra.basis_names,
                        entries["g6_3"].algebra.algebra.table)
@@ -132,6 +146,26 @@ class TestCheckAdmissible:
             report = assert_same_report(base, xi, (0,) * 4, d)
             assert report.checks[3].name == "bracket_compatibility"
             assert report.checks[3].holds is holds, d
+
+    @pytest.mark.parametrize("name", ("abelian2", "abelian4", "abelian4_w0"))
+    def test_identities_one_and_three_with_zero_r_b0(self, entries, name):
+        """On an abelian base R_b0 = 0, and identities 1 and 3 are compared
+        as whole rows: X S - X X = S X and S X = 0.  One pair fails 1
+        alone (xi = -E_11, b0 = 0); the other fails 3 with 2, and 1 too,
+        as no pair in a box search failed 3 without 1."""
+        base = entries[name].algebra
+        n = base.dim
+        one_alone = Matrix.from_rows([[-1] + [0] * (n - 1)] + [[0] * n] * (n - 1))
+        report = assert_same_report(base, one_alone, (0,) * n, name)
+        assert report.failed_names() == ["commutator_with_adjoint"]
+        xi, b0 = {
+            "abelian2": ([[-1, 0], [0, 1]], (-1, 0)),
+            "abelian4": ([[-1, 0, 0, 0], [0, 0, 0, 2], [0] * 4, [0] * 4], (0, 0, 0, -1)),
+            "abelian4_w0": ([[-1, 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 1, 0]], (-1, 0, 0, 0)),
+        }[name]
+        report = assert_same_report(base, Matrix.from_rows(xi), b0, name)
+        assert report.failed_names() == ["commutator_with_adjoint", "skew_part_kills_b0",
+                                         "adjoint_composition"]
 
     def test_nonzero_cells(self, entries):
         for entry in entries.values():
