@@ -117,6 +117,29 @@ def judge_claim(metric: dict, factor: float) -> dict:
     }
 
 
+def parse_claim(claim: str, workloads: list, metrics: list) -> tuple:
+    """(workload, metric, factor) of a ``--claim WORKLOAD:METRIC:FACTOR``;
+    a ValueError says what is wrong when the workload is not among
+    workloads, the metric not among metrics or the factor not above 0."""
+    parts = claim.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--claim {claim!r}: expected WORKLOAD:METRIC:FACTOR")
+    workload, metric, factor = parts
+    if workload not in workloads:
+        raise ValueError(f"--claim {claim!r}: workload {workload!r} is not among "
+                         f"the --workload values ({', '.join(workloads)})")
+    if metric not in metrics:
+        raise ValueError(f"--claim {claim!r}: {metric!r} is not an end-to-end metric "
+                         f"of BENCHMARK.json ({', '.join(metrics)})")
+    try:
+        value = float(factor)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"--claim {claim!r}: factor {factor!r} is not a number above 0")
+    return workload, metric, value
+
+
 def metric_rows(workloads: dict) -> list:
     """One line per workload and end-to-end metric of a comparison: the
     parent's median and quartiles, the change's median, their ratio, the
@@ -214,6 +237,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # a bad claim stops here, before minutes of runs are spent on it
+    try:
+        claims = [parse_claim(claim, args.workload, [m["name"] for m in bench["end_to_end"]])
+                  for claim in args.claim]
+    except ValueError as exc:
+        parser.error(str(exc))
     seconds = bench["run_seconds"]
     parent = args.parent.resolve()
     out = {
@@ -235,9 +264,8 @@ def main(argv=None) -> int:
         out["workloads"][workload] = {
             "seeds": list(range(args.seed, args.seed + args.pairs)),
             **aggregate(p, c, bench["end_to_end"])}
-    for claim in args.claim:
-        workload, metric, factor = claim.split(":")
-        judged = judge_claim(out["workloads"][workload]["metrics"][metric], float(factor))
+    for workload, metric, factor in claims:
+        judged = judge_claim(out["workloads"][workload]["metrics"][metric], factor)
         out["claims"].append({"workload": workload, "metric": metric, **judged})
     if args.traced is not None:
         out["traced"] = {

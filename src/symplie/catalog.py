@@ -8,6 +8,12 @@ table exists it is frozen in ``expected_products`` so regressions in the
 product machinery are caught against fixed rationals, not recomputed
 ones.
 
+The class table behind ``classify_upto6`` is frozen the same way: each
+class's fingerprint is written out next to its representative entry,
+and ``tests/test_catalog.py`` re-derives every one from the entry and
+checks that no two collide.  Classifying therefore fingerprints only its
+input; a fresh process builds no catalog entry to name a class.
+
 The ``admissible_family`` entries package the known parametric families
 of extension pairs over two- and four-dimensional flat bases; sweeping
 their parameter grids reproduces the whole classification.
@@ -16,7 +22,6 @@ their parameter grids reproduces the whole classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
@@ -198,27 +203,21 @@ def fingerprint(algebra) -> Fingerprint:
     )
 
 
-_CLASS_REPRESENTATIVES = (
-    ("zero", "R^0"),
-    ("abelian2", "R^2"),
-    ("abelian4", "R^4"),
-    ("r_h3_dim4", "RxH3"),
-    ("abelian6", "R^6"),
-    ("r3_h3", "R^3xH3"),
-    ("g6_1", "g6_1"),
-    ("g6_2", "g6_2"),
-    ("g6_3", "g6_3"),
+# one record per class: representative entry, class name and the
+# entry's frozen fingerprint (see the module docstring)
+_CLASSES = (
+    ("zero", "R^0", Fingerprint(0, (0,), (0,), 0, 0, 0)),
+    ("abelian2", "R^2", Fingerprint(2, (2, 0), (0,), 2, 0, 0)),
+    ("abelian4", "R^4", Fingerprint(4, (4, 0), (0,), 4, 0, 0)),
+    ("r_h3_dim4", "RxH3", Fingerprint(4, (4, 1, 0), (1, 0), 2, 1, 1)),
+    ("abelian6", "R^6", Fingerprint(6, (6, 0), (0,), 6, 0, 0)),
+    ("r3_h3", "R^3xH3", Fingerprint(6, (6, 1, 0), (1, 0), 4, 1, 1)),
+    ("g6_1", "g6_1", Fingerprint(6, (6, 3, 0), (3, 0), 3, 3, 3)),
+    ("g6_2", "g6_2", Fingerprint(6, (6, 2, 0), (2, 0), 3, 2, 2)),
+    ("g6_3", "g6_3", Fingerprint(6, (6, 3, 1, 0), (3, 0), 2, 3, 2)),
 )
-
-
-@lru_cache(maxsize=1)
-def _class_table() -> Mapping[Fingerprint, str]:
-    table = {}
-    for entry_name, class_name in _CLASS_REPRESENTATIVES:
-        fp = fingerprint(get(entry_name).algebra)
-        assert fp not in table, f"fingerprint collision for {class_name}"
-        table[fp] = class_name
-    return table
+_CLASS_OF = {fp: class_name for _, class_name, fp in _CLASSES}
+assert len(_CLASS_OF) == len(_CLASSES), "two classes share a fingerprint"
 
 
 def classify_upto6(algebra) -> str:
@@ -235,7 +234,7 @@ def classify_upto6(algebra) -> str:
     if algebra.dim not in (0, 2, 4, 6):
         raise UnsupportedDimensionError(
             f"classification covers dimensions 0, 2, 4, 6; got {algebra.dim}")
-    return _class_table().get(fingerprint(algebra), "Unknown")
+    return _CLASS_OF.get(fingerprint(algebra), "Unknown")
 
 
 # ---------------------------------------------------------------------------

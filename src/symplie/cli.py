@@ -21,13 +21,14 @@ from pathlib import Path
 
 from . import __version__, catalog
 from .documents import (DocumentError, algebra_to_document, document_to_algebra,
-                        document_to_pair, dumps_document, literals_to_pair,
-                        pair_to_document, parse_document, tower_to_document)
+                        document_to_pair, dumps_document, field_literal,
+                        literals_to_pair, pair_to_document, parse_document,
+                        tower_to_document)
 from .errors import SymplieError
 from .extension import (NotAdmissibleError, NotAnIdealError, NotFlatError,
                         TrivialCenterError, double_extend, inverse_double_extend,
                         reduction_tower, tower_pairs)
-from .rationals import Q, RationalSyntaxError, parse_literal, parse_rational, qstr
+from .rationals import Q, RationalSyntaxError, qstr, rational
 from .symplectic import InvalidSymplecticError, structural_report
 
 _INPUT_ERRORS = (DocumentError, InvalidSymplecticError, catalog.UnknownNameError,
@@ -73,8 +74,16 @@ def _params_dict(args) -> dict:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"--param needs key=value, got {item!r}")
-        out[key] = parse_rational(value)
+        out[key] = rational(*field_literal(value, f"--param {key}"))
     return out
+
+
+def _read_text(path: str) -> str:
+    """The text of a document, --pair or --xi file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_input(args, what: str):
@@ -87,7 +96,7 @@ def _load_input(args, what: str):
         return entry.algebra, entry.name
     if not file:
         raise ValueError(f"{what} needs a document file or --catalog NAME")
-    s, _meta = document_to_algebra(parse_document(Path(file).read_text()))
+    s, _meta = document_to_algebra(parse_document(_read_text(file)))
     return s, file
 
 
@@ -139,16 +148,17 @@ def _parse_xi(raw: str, n: int) -> list:
     if raw == "zero":
         return [[(0, 1)] * n for _ in range(n)]
     # inline JSON starts a list or an object; anything else names a file
-    text = raw if raw.lstrip().startswith(("[", "{")) else Path(raw).read_text()
+    text = raw if raw.lstrip().startswith(("[", "{")) else _read_text(raw)
     rows = parse_document(text, "--xi")
     if not isinstance(rows, list) or len(rows) != n \
             or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise ValueError(f"--xi must be a {n}x{n} array")
-    def coeff(x):
+    def coeff(x, where):
         if isinstance(x, bool) or not isinstance(x, (int, str)):
-            raise ValueError(f"--xi entries must be integers or rational strings")
-        return parse_literal(str(x))
-    return [[coeff(x) for x in row] for row in rows]
+            raise ValueError(f"{where}: expected an integer or a rational string")
+        return field_literal(str(x), where)
+    return [[coeff(x, f"--xi[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def _parse_b0(raw: str, n: int) -> list:
@@ -158,7 +168,7 @@ def _parse_b0(raw: str, n: int) -> list:
     parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
     if len(parts) != n:
         raise ValueError(f"--b0 must list {n} comma-separated rationals")
-    return [parse_literal(p) for p in parts]
+    return [field_literal(p, f"--b0[{k}]") for k, p in enumerate(parts)]
 
 
 def _cmd_extend(args) -> int:
@@ -166,7 +176,7 @@ def _cmd_extend(args) -> int:
     if args.pair:
         if args.xi or args.b0:
             raise ValueError("give --pair or (--xi, --b0), not both")
-        pair = document_to_pair(parse_document(Path(args.pair).read_text(), "--pair"))
+        pair = document_to_pair(parse_document(_read_text(args.pair), "--pair"))
         if pair.base_dim != base.dim:
             raise ValueError(
                 f"pair is for base dimension {pair.base_dim}, input has {base.dim}")

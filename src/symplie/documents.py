@@ -64,8 +64,9 @@ def _require_dict(obj, path: str, allowed: set, required: set) -> dict:
     return obj
 
 
-def _literal(text, path: str) -> tuple:
-    """The (num, den) ints of a rational string, by :func:`parse_literal`."""
+def field_literal(text, path: str) -> tuple:
+    """The (num, den) ints of a rational string, by :func:`parse_literal`;
+    an error names path, the field or option the string came from."""
     if not isinstance(text, str):
         _fail(path, f"expected a rational string, got {type(text).__name__}")
     try:
@@ -154,7 +155,7 @@ def document_to_parts(doc) -> tuple:
         for name, text in value.items():
             if name not in index:
                 _fail(f"{path}.value.{name}", "unknown basis name")
-            c = _literal(text, f"{path}.value.{name}")
+            c = field_literal(text, f"{path}.value.{name}")
             if c[0]:
                 cell.append((index[name], c))
         cells[(i, j)] = sorted(cell)
@@ -167,7 +168,7 @@ def document_to_parts(doc) -> tuple:
         i, j = edge(item, path)
         if (i, j) in omega:
             _fail(path, f"duplicate omega entry for ({item['u']}, {item['v']})")
-        omega[(i, j)] = _literal(item["value"], f"{path}.value")
+        omega[(i, j)] = field_literal(item["value"], f"{path}.value")
 
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -221,11 +222,11 @@ def document_to_pair(doc) -> AdmissiblePair:
     for r, row in enumerate(xi):
         if not isinstance(row, list) or len(row) != n:
             _fail(f"xi[{r}]", f"expected {n} entries")
-        rows.append([_literal(x, f"xi[{r}][{c}]") for c, x in enumerate(row)])
+        rows.append([field_literal(x, f"xi[{r}][{c}]") for c, x in enumerate(row)])
     b0 = doc["b0"]
     if not isinstance(b0, list) or len(b0) != n:
         _fail("b0", f"expected {n} entries")
-    return literals_to_pair(rows, [_literal(x, f"b0[{k}]") for k, x in enumerate(b0)])
+    return literals_to_pair(rows, [field_literal(x, f"b0[{k}]") for k, x in enumerate(b0)])
 
 
 def tower_to_document(pairs: Sequence[AdmissiblePair]) -> dict:

@@ -125,3 +125,42 @@ def test_traced_medians(monkeypatch):
     assert got == {"layer.self_ms": {"parent": 8, "change": 16}}
     runs = [{"metrics": {"x": {"value": v}}} for v in (5.0, 1.0, 3.5)]
     assert bench_pairs.median_layers(runs) == {"metrics": {"x": {"value": 3.5}}}
+
+
+BAD_CLAIMS = {
+    "sweep:items_per_sec:1.2": "'items_per_sec' is not an end-to-end metric of BENCHMARK.json",
+    "dense_basis:items_per_s:1.2": "workload 'dense_basis' is not among the --workload values",
+    "sweep:setup_s": "expected WORKLOAD:METRIC:FACTOR",
+    "sweep:setup_s:": "factor '' is not a number above 0",
+    "sweep:setup_s:fast": "factor 'fast' is not a number above 0",
+    "sweep:setup_s:0": "factor '0' is not a number above 0",
+    "sweep:setup_s:-1.3": "factor '-1.3' is not a number above 0",
+    "sweep:setup_s:nan": "factor 'nan' is not a number above 0",
+}
+
+
+def test_bad_claim_exits_before_any_run(monkeypatch, capsys, tmp_path):
+    """A claim is checked against --workload and BENCHMARK.json before
+    the first run; a bad one exits 2 with a message and runs nothing."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_pairs", no_run)
+    argv = ["--parent", str(tmp_path), "--seed", "1", "--out", str(tmp_path / "out.json"),
+            "--workload", "sweep", "--workload", "catalog_cli"]
+    for claim, message in BAD_CLAIMS.items():
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.main(argv + ["--claim", "sweep:setup_s:1.3", "--claim", claim])
+        assert exit_.value.code == 2, claim
+        err = capsys.readouterr().err
+        assert f"error: --claim {claim!r}: {message}" in err, claim
+    assert not (tmp_path / "out.json").exists()
+    # good claims pass the check and reach the runs
+    with pytest.raises(AssertionError, match="a run started"):
+        bench_pairs.main(argv + ["--claim", "sweep:setup_s:1.3",
+                                 "--claim", "catalog_cli:items_per_s:1.05"])
+
+
+def test_parse_claim():
+    assert bench_pairs.parse_claim("sweep:setup_s:1.3", ["sweep"], ["setup_s"]) \
+        == ("sweep", "setup_s", 1.3)

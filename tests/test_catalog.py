@@ -1,8 +1,11 @@
 import hashlib
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symplie import catalog
+from symplie import catalog, linalg
 from symplie.catalog import (ConstraintViolatedError, Fingerprint,
                              G6_3_CORRECTED_CELL, UnknownNameError,
                              UnsupportedDimensionError, admissible_family,
@@ -10,10 +13,12 @@ from symplie.catalog import (ConstraintViolatedError, Fingerprint,
                              family_parameter_grid, fingerprint, wedge_form)
 from symplie.extension import check_admissible
 from symplie.lie import LieAlgebra
-from symplie.linalg import Matrix
+from symplie.linalg import Matrix, SingularMatrixError, int_inverse
 from symplie.rationals import Q
 from symplie.symplectic import (NotLieAdmissibleError, ProductTensor, change_of_basis,
-                                curvature_residuals, symplectic_violations)
+                                curvature_residuals, structural_report,
+                                symplectic_violations)
+from test_containment import fresh
 
 ALL_NAMES = ("zero", "abelian2", "abelian4", "abelian4_w0", "abelian6",
              "aff1", "r_h3_dim4", "r3_h3", "g6_1", "g6_2", "g6_2_w2",
@@ -101,13 +106,48 @@ class TestG6_3Cell:
 
 
 class TestFingerprints:
+    """The class table is frozen in catalog._CLASSES; these re-derive it."""
+
     def test_distinct_across_classes(self, entries):
         seen = {}
-        for entry_name, class_name in catalog._CLASS_REPRESENTATIVES:
+        for entry_name, class_name, _ in catalog._CLASSES:
             fp = fingerprint(entries[entry_name].algebra)
             assert fp not in seen, (class_name, seen.get(fp))
             seen[fp] = class_name
         assert len(seen) == 9
+        assert seen == catalog._CLASS_OF
+
+    def test_frozen_table_is_rederived(self):
+        for entry_name, class_name, frozen in catalog._CLASSES:
+            entry = catalog.get(entry_name)
+            assert fingerprint(entry.algebra) == frozen, entry_name
+            assert entry.expected_class == class_name, entry_name
+
+    def test_classify_builds_no_entry(self, entries, monkeypatch):
+        """classify_upto6 runs the eliminations of its input's fingerprint
+        and nothing else: no catalog entry is built, validated or
+        fingerprinted to name the class."""
+        calls = []
+        original = linalg._rref_rows
+
+        def counting(rows, ncols):
+            calls.append((ncols, [list(r) for r in rows]))
+            return original(rows, ncols)
+
+        def no_entry(*args, **kwargs):
+            raise AssertionError("classify_upto6 built a catalog entry")
+
+        monkeypatch.setattr(linalg, "_rref_rows", counting)
+        monkeypatch.setattr(catalog, "get", no_entry)
+        for name, entry in entries.items():
+            calls.clear()
+            fingerprint(fresh(entry.algebra.algebra))
+            own = list(calls)
+            calls.clear()
+            cls = classify_upto6(fresh(entry.algebra.algebra))
+            assert cls == (entry.expected_class or "Unknown"), name
+            assert calls == own, name
+            assert all(ncols == entry.algebra.dim for ncols, _ in calls), name
 
     def test_frozen_values(self, entries):
         assert fingerprint(entries["r_h3_dim4"].algebra) == Fingerprint(
@@ -121,6 +161,76 @@ class TestFingerprints:
         for name in ("g6_2", "g6_2_w2", "g6_2_w3"):
             assert fingerprint(entries[name].algebra) \
                 == fingerprint(entries["g6_2"].algebra)
+
+
+FLAT_NAMES = tuple(name for name in ALL_NAMES if name != "aff1")
+
+
+@st.composite
+def flat_entries(draw):
+    """A flat catalog entry; g6_1 at a drawn lam outside {0, 1}."""
+    name = draw(st.sampled_from(FLAT_NAMES))
+    if name != "g6_1":
+        return catalog.get(name)
+    lam = draw(st.fractions(-4, 4, max_denominator=6).filter(lambda q: q not in (0, 1)))
+    return catalog.get("g6_1", lam=lam)
+
+
+def invertible_integer(n: int):
+    """An invertible n x n integer matrix with entries in [-2, 2]."""
+    def check(rows):
+        try:
+            int_inverse(rows)
+        except SingularMatrixError:
+            return None
+        return Matrix.from_integral(1, rows)
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(check).filter(lambda t: t is not None)
+
+
+def transvections(s):
+    """A product of one to three symplectic transvections of s's form,
+    x -> x + c omega(v, x) v with v integral and c rational: the matrix
+    I + c v (v^T W), W the Gram matrix."""
+    n = s.dim
+    w = s.form.matrix
+
+    def transvection(v, c):
+        vw = [sum((v[i] * w.entry(i, j) for i in range(n)), Q(0)) for j in range(n)]
+        return Matrix.from_rows([[int(i == j) + c * v[i] * vw[j] for j in range(n)]
+                                 for i in range(n)])
+    one = st.builds(transvection, st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    st.fractions(-3, 3, max_denominator=4))
+    return st.lists(one, min_size=1, max_size=3).map(
+        lambda ts: reduce(lambda a, b: a @ b, ts))
+
+
+def assert_invariant(entry, t):
+    s = entry.algebra
+    moved = change_of_basis(s, t)
+    assert fingerprint(moved) == fingerprint(s), entry.name
+    assert classify_upto6(moved) == entry.expected_class, entry.name
+    assert structural_report(moved).ok() and structural_report(s).ok(), entry.name
+
+
+class TestBasisInvariance:
+    """The class of a flat entry, and so the frozen table's lookup, does
+    not depend on the basis: fingerprint, class and structural_report
+    agree after a random change of basis of every flat catalog entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_change_of_basis(self, data):
+        entry = data.draw(flat_entries())
+        assert_invariant(entry, data.draw(invertible_integer(entry.algebra.dim)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_symplectic_change_of_basis(self, data):
+        entry = data.draw(flat_entries())
+        t = data.draw(transvections(entry.algebra))
+        assert change_of_basis(entry.algebra, t).form.matrix == entry.algebra.form.matrix
+        assert_invariant(entry, t)
 
 
 class TestClassify:

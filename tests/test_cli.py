@@ -244,6 +244,21 @@ class TestExtend:
         assert err == ("error: --pair: not valid JSON: Expecting property name "
                        "enclosed in double quotes: line 1 column 16 (char 15)\n")
 
+    def test_bad_literal_names_its_option_and_entry(self, capsys):
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2",
+                           "--xi", '[["0", "0"], ["0", "x"]]', "--b0", "zero")
+        assert (rc, out, err) == (1, "", "error: --xi[1][1]: not a rational literal: 'x'\n")
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2",
+                           "--xi", "[[0, 0], [1.5, 0]]", "--b0", "zero")
+        assert (rc, out, err) == (
+            1, "", "error: --xi[1][0]: expected an integer or a rational string\n")
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2",
+                           "--xi", "zero", "--b0", "1,y")
+        assert (rc, out, err) == (1, "", "error: --b0[1]: not a rational literal: 'y'\n")
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2",
+                           "--xi", "zero", "--b0", "1/0,0")
+        assert (rc, out, err) == (1, "", "error: --b0[0]: zero denominator: '1/0'\n")
+
     def test_empty_b0_and_inline_object_xi(self, capsys):
         # an empty --b0 lists no rationals, which only a dim-0 base accepts
         rc, _, err = run(capsys, "extend", "--catalog", "abelian2",
@@ -356,6 +371,12 @@ class TestClassify:
             rc, out, _ = run(capsys, "classify", "--catalog", name)
             assert rc == 0
             assert f"class: {cls}" in out
+
+    def test_bad_param_names_its_key(self, capsys):
+        rc, out, err = run(capsys, "classify", "--catalog", "g6_1", "--param", "lam=1/0")
+        assert (rc, out, err) == (1, "", "error: --param lam: zero denominator: '1/0'\n")
+        rc, out, err = run(capsys, "catalog", "show", "g6_1", "--param", "lam=x")
+        assert (rc, out, err) == (1, "", "error: --param lam: not a rational literal: 'x'\n")
 
     def test_non_flat(self, capsys):
         rc, out, _ = run(capsys, "classify", "--catalog", "aff1")
@@ -504,6 +525,33 @@ class TestLongNumbers:
         assert rc == 3 and out == ""
         assert err == ("internal error: cannot write a rational of about 928 digits; "
                        "the limit for int-string conversion is 640 digits\n")
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is reported by its path, whichever option
+    names it (exit 1)."""
+
+    MESSAGE = "not UTF-8 text: invalid start byte at byte 0\n"
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff[]")
+        return str(path)
+
+    def test_document(self, capsys, bad):
+        for argv in (["verify", bad], ["classify", bad],
+                     ["extend", "--base", bad, "--xi", "zero", "--b0", "zero"]):
+            assert run(capsys, *argv) == (1, "", f"error: {bad}: {self.MESSAGE}"), argv
+
+    def test_pair_file(self, capsys, bad):
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2", "--pair", bad)
+        assert (rc, out, err) == (1, "", f"error: {bad}: {self.MESSAGE}")
+
+    def test_xi_file(self, capsys, bad):
+        rc, out, err = run(capsys, "extend", "--catalog", "abelian2", "--xi", bad,
+                           "--b0", "zero")
+        assert (rc, out, err) == (1, "", f"error: {bad}: {self.MESSAGE}")
 
 
 class TestNestedJson:

@@ -238,7 +238,6 @@ def test_eliminations_per_sweep_class(family_sweep, monkeypatch):
     """classify_upto6 on a fresh sweep extension: the center and D only
     where D lies in the center, and one span each for C^3 and [D, D] in
     g6_3, where C^3 is central and Z lies in D."""
-    catalog._class_table()
     calls = []
     original = linalg._rref_rows
 
