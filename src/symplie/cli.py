@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import platform
 import sys
 from pathlib import Path
 
@@ -96,7 +95,7 @@ def _load_input(args, what: str):
         return entry.algebra, entry.name
     if not file:
         raise ValueError(f"{what} needs a document file or --catalog NAME")
-    s, _meta = document_to_algebra(parse_document(_read_text(file)))
+    s, _meta = document_to_algebra(parse_document(_read_text(file), file))
     return s, file
 
 
@@ -289,7 +288,7 @@ def _build_parser() -> _Parser:
                      description="Exact tools for flat symplectic Lie algebras.")
     parser.add_argument("--version", action="version", version=(
         f"symplie {__version__} (scalars: {Q.__module__}.{Q.__qualname__}, "
-        f"Python {platform.python_version()})"))
+        f"Python {sys.version.split()[0]})"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p, positional: bool):

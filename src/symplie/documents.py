@@ -260,10 +260,10 @@ def dumps_document(doc: Mapping) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_document(text: str, option: str = "") -> dict:
-    """The JSON value of text; an error names the option the text came
-    from, when one is given, as in ``--xi: not valid JSON: ...``."""
-    where = f"{option}: not valid JSON" if option else "not valid JSON"
+def parse_document(text: str, source: str = "") -> dict:
+    """The JSON value of text; an error names the file or option the text
+    came from, when one is given, as in ``--xi: not valid JSON: ...``."""
+    where = f"{source}: not valid JSON" if source else "not valid JSON"
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -430,8 +430,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
 
     # the base is the middle block of the adapted bracket and form
     aden, arows = adapted.algebra.bracket_tensor.integral
-    gden, agram_rows = adapted.form.integral
-    agram = adapted.form.int_rows
+    gden, agram = adapted.form.matrix.integral
     base = SymplecticLieAlgebra(
         LieAlgebra.from_integral(tuple(f"b{k + 1}" for k in range(n)), aden, {
             (p, q): tuple((k - 1, x) for k, x in arows[1 + p][1 + q] if 0 < k <= n)
@@ -443,7 +442,7 @@ def inverse_double_extend(s: SymplecticLieAlgebra,
     # times cden = aden gden: at[p] = omega([b_p, ebar], .) and
     # phi[q][p] = 3 omega_B(xi(b_p), b_q) = omega([b_p, b_q], ebar) + at[p][b_q]
     cden = aden * gden
-    at = [int_sum(((x, agram_rows[k]) for k, x in arows[1 + p][n + 1]), n2) for p in range(n)]
+    at = adapted.form.int_covectors(arows[1 + p][n + 1] for p in range(n))
     phi = [[sum(x * agram[k][n + 1] for k, x in arows[1 + p][1 + q]) + at[p][1 + q]
             for p in range(n)] for q in range(n)]
     # xi(b_p) and b0 are the omega_B-duals x = -W_B^-1 y of phi[.][p] and

@@ -102,8 +102,8 @@ def is_zero_vector(a: Vec) -> bool:
     return not any(a)
 
 
-def accumulate(acc: list, coeffs: Sequence, vectors: Sequence, scale=None) -> list:
-    """acc += sum_i scale * coeffs[i] * vectors[i] in place, skipping zeros.
+def accumulate(acc: list, coeffs: Sequence, vectors: Sequence) -> list:
+    """acc += sum_i coeffs[i] * vectors[i] in place, skipping zeros.
 
     The one bilinear contraction: products, brackets, matrix products
     and pairings with basis vectors are all weighted sums of this kind.
@@ -111,8 +111,6 @@ def accumulate(acc: list, coeffs: Sequence, vectors: Sequence, scale=None) -> li
     for c, w in zip(coeffs, vectors):
         if not c:
             continue
-        if scale is not None:
-            c = scale * c
         for k, wk in enumerate(w):
             if wk:
                 acc[k] += c * wk
@@ -240,9 +238,6 @@ class Matrix:
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
 
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
@@ -787,7 +782,7 @@ class ProductTensor:
         acc = [ZERO] * self.dim
         for ui, row in zip(u, self.table):
             if ui:
-                accumulate(acc, v, row, ui)
+                accumulate(acc, [ui * x for x in v], row)
         return tuple(acc)
 
     def _operator(self, u: Sequence, grid) -> Matrix:

@@ -31,11 +31,11 @@ from .errors import SymplieError
 from .lie import LieAlgebra
 # ProductTensor is defined in linalg and re-exported from here
 from .linalg import (Matrix, PackedCells, ProductTensor, SingularMatrixError,
-                     Subspace, Vec, accumulate, common_kernel, commutator, dense,
-                     int_matmul, int_product, int_sum, inverse, kernel, pack,
-                     slot_bits, sparse, subspace_intersect, unit_vector, unpack,
-                     vdot, vector)
-from .rationals import ZERO, rational
+                     Subspace, Vec, common_kernel, commutator, dense, int_matmul,
+                     int_product, int_sum, inverse, kernel, pack, slot_bits,
+                     sparse, subspace_intersect, unit_vector, unpack, vdot,
+                     vector)
+from .rationals import rational
 
 
 class InvalidSymplecticError(SymplieError):
@@ -81,6 +81,9 @@ class SkewForm:
     forms equal exactly when their Gram matrices are.  :attr:`integral`
     = (den, rows), with rows[k] the nonzero (w, num) of row k of those
     numerators, is derived on first read for the sparse contractions.
+    Each omega-operation has one body, over ints: :attr:`int_inverse`
+    (W^-1), :meth:`int_adjoint` (f* = W^-1 f^T W) and
+    :meth:`int_covectors` (omega(c, .)).
     """
 
     matrix: Matrix
@@ -104,11 +107,6 @@ class SkewForm:
         return den, tuple(map(sparse, rows))
 
     @cached_property
-    def int_rows(self) -> list:
-        """The numerator rows of :attr:`matrix` as int lists."""
-        return [list(r) for r in self.matrix.integral[1]]
-
-    @cached_property
     def extension_form(self) -> "SkewForm":
         """The form of every double extension over this one: omega in the
         [e, base..., ebar] layout, with omega(e, ebar) = 1 and e, ebar
@@ -120,43 +118,26 @@ class SkewForm:
     def pair(self, u: Sequence, v: Sequence):
         return vdot(vector(u), self.matrix.apply(vector(v)))
 
-    def covector(self, u: Sequence) -> Vec:
-        """(omega(u, e_k))_k, one row combination of the Gram matrix."""
-        return tuple(accumulate([ZERO] * self.dim, vector(u), self.matrix.entries))
-
     def is_skew(self) -> bool:
         w = self.matrix.integral[1]
         return all(w[i][j] == -w[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def is_nondegenerate(self) -> bool:
-        """Read off :attr:`inverse_matrix`, so W is eliminated once."""
+        """Read off :attr:`int_inverse`, so W is eliminated once."""
         try:
-            self.inverse_matrix
+            self.int_inverse
         except DegenerateFormError:
             return False
         return True
 
     @cached_property
-    def inverse_matrix(self) -> Matrix:
-        """W^-1, from one elimination of the numerators of W."""
+    def int_inverse(self) -> tuple:
+        """(den, rows): W^-1 as int rows over den, from one elimination of
+        the numerators of W; raises DegenerateFormError."""
         try:
-            return inverse(self.matrix)
+            return inverse(self.matrix).integral
         except SingularMatrixError as exc:
             raise DegenerateFormError("form is degenerate") from exc
-
-    @property
-    def int_inverse(self) -> tuple:
-        """(den, rows): W^-1 as int rows over den."""
-        return self.inverse_matrix.integral
-
-    @cached_property
-    def dual_matrix(self) -> Matrix:
-        """Inverse of the transposed Gram matrix; see dual_of_covector."""
-        return -self.inverse_matrix
-
-    def dual_of_covector(self, phi: Sequence) -> Vec:
-        """The unique x with omega(x, e_k) = phi_k for every k."""
-        return self.dual_matrix.apply(vector(phi))
 
     def int_adjoint(self, rows) -> tuple:
         """(den, rows*): f* = W^-1 f^T W as int rows over den, for the
@@ -167,10 +148,18 @@ class SkewForm:
         return iden * wden, int_matmul(inv, int_matmul(list(zip(*rows)), w))
 
     def adjoint_map(self, f: Matrix) -> Matrix:
-        """f* with omega(f(x), y) = omega(x, f*(y));  f* = W^-1 f^T W."""
+        """f* with omega(f(x), y) = omega(x, f*(y)), from :meth:`int_adjoint`."""
         if f.shape != (self.dim, self.dim):
             raise ValueError("endomorphism shape mismatch")
-        return self.inverse_matrix @ f.transpose() @ self.matrix
+        fden, rows = f.integral
+        den, star = self.int_adjoint(rows)
+        return Matrix.from_integral(den * fden, star)
+
+    def int_covectors(self, cols) -> list:
+        """omega(c, e_w) for every w, as ints over the den of
+        :attr:`integral`, for each c in cols given by its nonzero (k, num)."""
+        _, gram = self.integral
+        return [int_sum(((a, gram[k]) for k, a in c), self.dim) for c in cols]
 
 
 class SubspaceClass(enum.Enum):
@@ -184,13 +173,10 @@ class SubspaceClass(enum.Enum):
 # validation
 
 def _omega_brackets(algebra: LieAlgebra, form: SkewForm) -> tuple:
-    """(den, c): c[i][j][w] = den * omega([e_i, e_j], e_w) as ints, from
-    the bracket's integral rows and the Gram matrix's numerators."""
-    n = algebra.dim
+    """(den, c): c[i][j][w] = den * omega([e_i, e_j], e_w) as ints, the
+    covectors of the bracket's integral cells."""
     bden, rows = algebra.bracket_tensor.integral
-    wden, gram = form.integral
-    c = [[int_sum(((b, gram[k]) for k, b in cell), n) for cell in row] for row in rows]
-    return bden * wden, c
+    return bden * form.integral[0], [form.int_covectors(row) for row in rows]
 
 
 def symplectic_violations(algebra: LieAlgebra, form: SkewForm) -> list:
@@ -321,7 +307,7 @@ class SymplecticLieAlgebra:
         """
         n = self.dim
         return ProductTensor(n, tuple(
-            tuple(self.adjoint(-self.algebra.ad(unit_vector(n, i))).columns())
+            tuple(self.form.adjoint_map(-self.algebra.ad(unit_vector(n, i))).columns())
             for i in range(n)))
 
     # -- flatness -----------------------------------------------------------
@@ -336,7 +322,7 @@ class SymplecticLieAlgebra:
         if bad is not None:
             raise FlatnessInvariantError(
                 f"canonical product is not Lie-admissible at {bad}")
-        return _first_curvature_violation(p, bracket)
+        return first_curvature_violation(p, bracket)
 
     @property
     def is_flat(self) -> bool:
@@ -376,9 +362,6 @@ class SymplecticLieAlgebra:
     def derived(self) -> Subspace:
         return self.algebra.derived_subspace()
 
-    def adjoint(self, f: Matrix) -> Matrix:
-        return self.form.adjoint_map(f)
-
     def perp(self, f: Subspace) -> Subspace:
         return perp(self, f)
 
@@ -400,22 +383,15 @@ def lie_admissibility_failure(product: ProductTensor,
     return None
 
 
-def first_curvature_violation(product: ProductTensor, table) -> Optional[tuple]:
+def first_curvature_violation(product: ProductTensor,
+                              bracket: ProductTensor) -> Optional[tuple]:
     """The first basis pair (i, j), i < j, in row-major order with
     L_[ei,ej] e_m != (L_ei L_ej - L_ej L_ei) e_m for some m, or None.
 
-    Works on the nonzero entries of the product and bracket tables only,
-    as ints, and stops at the first nonzero residual vector.
-    """
-    return _first_curvature_violation(product, ProductTensor(product.dim, table))
-
-
-def _first_curvature_violation(product: ProductTensor,
-                               bracket: ProductTensor) -> Optional[tuple]:
-    """first_curvature_violation with the bracket as a tensor.
-
-    The residual of a pair (i, j) at every (m, k) is one int, packed at
-    slot m n + k as the :mod:`linalg` docstring shows:
+    Works on the nonzero entries of the product and bracket integrals
+    only, and stops at the first nonzero residual.  The residual of a
+    pair (i, j) at every (m, k) is one int, packed at slot m n + k as the
+    :mod:`linalg` docstring shows:
     den sum_a c rowp[a] + bden sum_k (p[j][k] col[i][k] - p[i][k] col[j][k]),
     where rowp[a] packs e_a o e_m over (m, k), p[a][k] packs e_a o e_k
     over its components and col[i][k] packs (e_i o e_m)_k over m at stride
@@ -477,13 +453,8 @@ def perp(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if f.dim == 0:
         return Subspace.full(n)
-    # W c for each basis column c of f, over the Gram and column numerators
-    _, gram = form.integral
-    rows = []
-    for col in f.integral:
-        c = dense(col, n)
-        rows.append([sum(x * c[w] for w, x in gram_k) for gram_k in gram])
-    return kernel(Matrix.from_integral(1, rows))
+    # x is in the perp iff omega(c, x) = 0 for each basis column c of f
+    return kernel(Matrix.from_integral(1, form.int_covectors(f.integral)))
 
 
 def classify_subspace(s: SymplecticLieAlgebra | SkewForm, f: Subspace) -> SubspaceClass:
@@ -535,12 +506,6 @@ def darboux_basis(form: SkewForm) -> Matrix:
 # integral rows of its Gram matrix, and a subspace basis column by column
 # as the int numerators of Subspace.integral.  Each is a positive multiple
 # of what it stands for, which no zero test, kernel or span can tell apart.
-
-def _int_covectors(s: SymplecticLieAlgebra, cols) -> list:
-    """omega(c, e_w) for every w, as ints, for each c in cols."""
-    _, gram = s.form.integral
-    return [int_sum(((a, gram[k]) for k, a in c), s.dim) for c in cols]
-
 
 def _annihilated(covectors, x) -> bool:
     """omega(c, x) = 0 for every covector omega(c, .) listed."""
@@ -633,8 +598,8 @@ def _ideal_perp_rules(s: SymplecticLieAlgebra, ideal: Subspace,
     _, brows = s.algebra.bracket_tensor.integral
     icols = ideal.integral
     pcols = (perp(s, ideal) if iperp is None else iperp).integral
-    into_i = _int_covectors(s, pcols)
-    into_perp = _int_covectors(s, icols)
+    into_i = s.form.int_covectors(pcols)
+    into_perp = s.form.int_covectors(icols)
     for u in pcols:
         for v in icols:
             if not _annihilated(into_i, int_product(prows, u, v, n)):

@@ -24,7 +24,7 @@ rationals.rational, as the library did before those producers kept their
 numerators through ProductTensor.from_integral.
 ``fraction_inverse_double_extend`` is the scalar split: ebar from solve, T
 from scalar columns, and the pair read off the adapted algebra's whole
-canonical product through dual_of_covector, as the library did before the
+canonical product through the dual -W^-1, as the library did before the
 split recovered the pair from two slices of the adapted omega-brackets.
 ``fraction_document_to_parts`` is the scalar parse: each literal through
 parse_rational, a dense Matrix for omega and LieAlgebra.from_sparse, as
@@ -239,9 +239,9 @@ def reference_check_admissible(base, xi: Matrix, b0) -> AdmissibilityReport:
     if len(b0) != n:
         raise ValueError(f"b0 must have length {n}")
     p = base.canonical_product
-    xi_star = base.adjoint(xi)
+    xi_star = base.form.adjoint_map(xi)
     r_b0 = p.right(b0)
-    r_b0_star = base.adjoint(r_b0)
+    r_b0_star = base.form.adjoint_map(r_b0)
     checks = [
         EquationCheck("commutator_with_adjoint",
                       commutator(xi, xi_star) == (xi @ xi) - r_b0.scale(THIRD)),
@@ -389,14 +389,15 @@ def fraction_validate(algebra) -> tuple:
 
 
 def fraction_omega_brackets(algebra, form) -> list:
-    """c[i][j][w] = omega([e_i, e_j], e_w) as scalars."""
-    return [[form.covector(cell) for cell in row] for row in algebra.table]
+    """c[i][j][w] = omega([e_i, e_j], e_w) as scalars, the rows W^T [e_i, e_j]."""
+    wt = form.matrix.transpose()
+    return [[wt.apply(cell) for cell in row] for row in algebra.table]
 
 
 def fraction_canonical_product(algebra, form) -> ProductTensor:
     """e_i o e_j = dual . phi with phi_w = (c[i][j][w] + c[i][w][j]) / 3."""
     n = algebra.dim
-    dual = form.dual_matrix
+    dual = -inverse(form.matrix)
     c = fraction_omega_brackets(algebra, form)
     return ProductTensor(n, tuple(
         tuple(dual.apply([THIRD * (c[i][j][w] + c[i][w][j]) for w in range(n)])
@@ -467,7 +468,7 @@ def reference_structural_report(s) -> StructuralReport:
     nr = common_kernel(p.columns, n)
     ads = [alg.ad(unit_vector(n, i)) for i in range(n)]
     ad_traces = tuple(a.trace() for a in ads)
-    h = s.form.dual_of_covector(ad_traces)
+    h = (-inverse(s.form.matrix)).apply(ad_traces)
     unimodular = is_zero_vector(ad_traces)
     lcs = alg.lower_central_series()
     abelian = derived.dim == 0
@@ -480,7 +481,7 @@ def reference_structural_report(s) -> StructuralReport:
     def claim(name, applicable, holds, detail=""):
         claims.append(Claim(name, applicable, holds if applicable else None, detail))
 
-    skew_ad = common_kernel([(ads[i] + s.adjoint(ads[i])).entries
+    skew_ad = common_kernel([(ads[i] + s.form.adjoint_map(ads[i])).entries
                              for i in range(n)], n)
     claim("derived_perp_characterization", True, dperp == skew_ad,
           "[g,g]-perp = {u : ad_u* = -ad_u}")
@@ -591,7 +592,7 @@ def fraction_adjoint_map(form, f: Matrix) -> Matrix:
     """f* = W^-1 f^T W as two dense Matrix products."""
     if f.shape != (form.dim, form.dim):
         raise ValueError("endomorphism shape mismatch")
-    return form.inverse_matrix @ f.transpose() @ form.matrix
+    return inverse(form.matrix) @ f.transpose() @ form.matrix
 
 
 def fraction_bordered(w: Matrix, corners) -> Matrix:
@@ -649,7 +650,7 @@ def fraction_build_extension_candidate(base, xi: Matrix, b0) -> SymplecticLieAlg
     entries = {}
     # base x base: [a, b] = [a, b]_B + omega_B((xi + xi*)(a), b) e
     for p in range(n):
-        sym_p = form_b.covector(sym.col(p))
+        sym_p = form_b.matrix.transpose().apply(sym.col(p))
         for q in range(p + 1, n):
             vec = embed(base.algebra.table[p][q])
             vec[0] += sym_p[q]
@@ -657,7 +658,7 @@ def fraction_build_extension_candidate(base, xi: Matrix, b0) -> SymplecticLieAlg
             if coeffs:
                 entries[(1 + p, 1 + q)] = coeffs
     # base x ebar: [a, ebar] = -[ebar, a] = (2 xi - xi*)(a) - omega_B(b0, a) e
-    b0_cov = form_b.covector(b0)
+    b0_cov = form_b.matrix.transpose().apply(b0)
     for p in range(n):
         vec = embed(tuple(-x for x in d.col(p)))
         vec[0] -= b0_cov[p]
@@ -736,8 +737,8 @@ def fraction_inverse_double_extend(s, e=None) -> ReductionStep:
             for p in range(n) for q in range(p + 1, n)}),
         SkewForm(Matrix.from_rows([row[1:-1] for row in adapted.form.matrix.entries[1:-1]])))
     product = fraction_canonical_product(adapted.algebra, adapted.form).table
-    xi_cols = [base.form.dual_of_covector([product[1 + p][1 + q][0] for q in range(n)])
-               for p in range(n)]
+    dual = -inverse(base.form.matrix)
+    xi_cols = [dual.apply([product[1 + p][1 + q][0] for q in range(n)]) for p in range(n)]
     xi = Matrix.from_cols(xi_cols) if xi_cols else Matrix.zeros(0, 0)
     b0 = tuple(3 * x for x in product[n + 1][n + 1][1:1 + n])
     return ReductionStep(base=base, pair=AdmissiblePair(xi, b0), e=e, ebar=ebar,
@@ -1112,7 +1113,7 @@ def grid_multiplication_kernels(s: SymplecticLieAlgebra) -> MultiplicationKernel
 # the front half of flatness before its last loops were packed
 
 # The bodies of SymplecticLieAlgebra.canonical_product, LieAlgebra.validate
-# and _first_curvature_violation as they ran before the canonical product
+# and first_curvature_violation as they ran before the canonical product
 # packed W^-1 by columns, the Jacobi test packed the bracket, and the
 # curvature loop packed each pair's residual over (m, k): n^2 small
 # multiply-adds per product cell, one int_sum per Jacobi triple, and one

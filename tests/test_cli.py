@@ -487,12 +487,13 @@ class TestLongNumbers:
         assert err == ("error: omega[0].value: literal of 5000 digits exceeds "
                        "the limit of 4300 digits\n")
 
-    def test_json_number_over_the_limit(self, capsys, tmp_path):
-        doc = tmp_path / "long.json"
-        doc.write_text('{"dim": ' + "9" * 5000 + ', "basis": []}')
-        rc, out, err = run(capsys, "verify", str(doc))
+    def test_json_number_over_the_limit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.json").write_text('{"dim": ' + "9" * 5000 + ', "basis": []}')
+        rc, out, err = run(capsys, "verify", "long.json")
         assert rc == 1 and out == ""
-        assert err == "error: not valid JSON: a number exceeds the limit of 4300 digits\n"
+        assert err == ("error: long.json: not valid JSON: a number exceeds the limit "
+                       "of 4300 digits\n")
         xi = "[[" + "1" * 5000 + ", 0], [0, 0]]"
         rc, out, err = run(capsys, "extend", "--catalog", "abelian2", "--xi", xi,
                            "--b0", "zero")

@@ -68,7 +68,8 @@ def assert_kernel_matches(s, label, ref=None) -> bool:
     assert_integral_exact(p, label)
     witness = ref.fraction_witness
     assert fresh.curvature_witness == witness, label
-    assert first_curvature_violation(ref.product, ref.parts[0].table) == witness, label
+    assert (first_curvature_violation(ref.product, ref.parts[0].bracket_tensor)
+            == witness), label
     assert p.associators == ref.fraction_associators, label
     return witness is None
 
@@ -242,7 +243,7 @@ def test_random_curvature_witness(p, data):
                             for j in range(n)) for i in range(n))
     else:
         table = data.draw(tables(n))
-    assert (first_curvature_violation(p, table)
+    assert (first_curvature_violation(p, ProductTensor(n, table))
             == fraction_first_curvature_violation(ProductTensor(n, p.table), table))
 
 

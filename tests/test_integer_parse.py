@@ -18,7 +18,8 @@ from oracles import fraction_document_to_parts
 from symplie import cli, linalg
 from symplie.documents import (DocumentError, algebra_to_document, document_to_parts,
                                dumps_document)
-from symplie.linalg import Matrix, ProductTensor
+from symplie.linalg import Matrix, ProductTensor, inverse
+from symplie.extension import reduction_tower
 from symplie.symplectic import SkewForm, change_of_basis, h_vector
 from test_sparse_kernels import dense_bases, dense_change_of_basis
 
@@ -107,12 +108,12 @@ def test_malformed_literal_messages(literal, message, where, path):
 # verify on a dense document
 
 def dense_g6_3_document(entries, tmp_path) -> tuple:
-    """(path, Gram numerators) of g6_3 in a seeded dense basis."""
+    """(path, algebra) of g6_3 in a seeded dense basis."""
     rng = random.Random("integer parse g6_3")
     s = change_of_basis(entries["g6_3"].algebra, dense_change_of_basis(rng, 6))
     path = tmp_path / "g6_3_dense.json"
     path.write_text(dumps_document(algebra_to_document(s)))
-    return str(path), s.form.int_rows
+    return str(path), s
 
 
 def test_verify_derives_no_scalar_view(entries, tmp_path, capsys, monkeypatch):
@@ -132,19 +133,32 @@ def test_verify_derives_no_scalar_view(entries, tmp_path, capsys, monkeypatch):
 
 
 def test_verify_eliminates_the_gram_matrix_once(entries, tmp_path, capsys, monkeypatch):
-    path, gram = dense_g6_3_document(entries, tmp_path)
-    n = len(gram)
+    """verify eliminates its document's Gram matrix once, and reduce --auto
+    each Gram matrix of the tower once: the input's and each base's, whose
+    one int_inverse the split, the base's flatness check and _pair_rows
+    share.  The zero-dimensional base is left out, as an elimination of no
+    rows cannot be told apart from another."""
+    path, s = dense_g6_3_document(entries, tmp_path)
+    grams = [[list(row) for row in t.form.matrix.integral[1]]
+             for t in [s] + [step.base for step in reduction_tower(s)] if t.dim]
+    assert [len(gram) for gram in grams] == [6, 4, 2]
     calls = []
     original = linalg._rref_rows
 
     def counting(rows, ncols):
-        calls.append([list(row[:n]) for row in rows] == gram)
+        calls.append([list(row) for row in rows])
         return original(rows, ncols)
+
+    def eliminations(gram):
+        return sum([row[:len(gram)] for row in rows] == gram for rows in calls)
 
     monkeypatch.setattr(linalg, "_rref_rows", counting)
     assert cli.main(["verify", path]) == 0
+    assert eliminations(grams[0]) == 1
+    calls.clear()
+    assert cli.main(["reduce", "--base", path, "--auto"]) == 0
     capsys.readouterr()
-    assert sum(calls) == 1
+    assert [eliminations(gram) for gram in grams] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,4 +182,5 @@ def test_nondegenerate_matches_rank(case):
 def test_h_vector_is_the_dual_of_the_traces(entries):
     cases = [(name, e.algebra) for name, e in entries.items()] + dense_bases(entries)
     for label, s in cases:
-        assert h_vector(s) == s.form.dual_of_covector(s.algebra.trace_character()), label
+        dual = -inverse(s.form.matrix)
+        assert h_vector(s) == dual.apply(s.algebra.trace_character()), label

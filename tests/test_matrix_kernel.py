@@ -225,7 +225,8 @@ def test_int_built_types_hold_no_scalar():
     built = (m, form, pair, tensor, lie, span)
     # derived int views and int arithmetic stay scalar-free
     assert not (m @ m + -m).transpose().is_zero() and inverse(m) @ m == Matrix.identity(2)
-    assert form.is_skew() and form.is_nondegenerate() and form.int_rows == [[0, 1], [-1, 0]]
+    assert form.is_skew() and form.is_nondegenerate()
+    assert form.matrix.integral[1] == ((0, 1), (-1, 0))
     assert form.integral[0] == 2 and form.int_adjoint([[1, 0], [0, 0]])[0] > 0
     assert pair.xi.integral == (2, ((0, 1), (0, 0))) and span.basis.integral[0] == 1
     assert not any(holds_scalar(x) for x in built)

@@ -22,7 +22,7 @@ from oracles import (int_sum_validate, n4_canonical_product,
 from symplie.lie import LieAlgebra
 from symplie.linalg import PackedCells, ProductTensor, dense, pack, unpack
 from symplie.symplectic import (SkewForm, SymplecticLieAlgebra,
-                                _first_curvature_violation, structural_report)
+                                first_curvature_violation, structural_report)
 from test_packed_kernels import (WIDE, edge, fresh, near, numerators, scaled,
                                  tensor_pairs, wide_tensors, zero_tensor)
 from test_sparse_kernels import dense_bases
@@ -41,12 +41,12 @@ def assert_front_matches(s, label=None, closed=True):
     assert s.algebra.validate() == int_sum_validate(s.algebra), label
     bracket = s.algebra.bracket_tensor
     witness = per_m_first_curvature_violation(p, bracket)
-    assert _first_curvature_violation(p, bracket) == witness, label
+    assert first_curvature_violation(p, bracket) == witness, label
     if closed:
         assert s.curvature_witness == witness, label
     # pairs that are not Lie-admissible
     for q, b in ((p, zero_tensor(s.dim)), (bracket, bracket), (p, p)):
-        assert (_first_curvature_violation(q, b)
+        assert (first_curvature_violation(q, b)
                 == per_m_first_curvature_violation(q, b)), label
     return witness
 
@@ -172,7 +172,7 @@ def test_random_wide_front(s):
     assert p.integral == n4_canonical_product(fresh(s)).integral
     assert s.algebra.validate() == int_sum_validate(s.algebra)
     bracket = s.algebra.bracket_tensor
-    assert (_first_curvature_violation(p, bracket)
+    assert (first_curvature_violation(p, bracket)
             == per_m_first_curvature_violation(p, bracket))
 
 
@@ -186,7 +186,7 @@ def test_random_wide_jacobi(algebra):
 @given(tensor_pairs())
 def test_random_wide_curvature(pair):
     p, bracket = pair
-    assert (_first_curvature_violation(p, bracket)
+    assert (first_curvature_violation(p, bracket)
             == per_m_first_curvature_violation(p, bracket))
 
 

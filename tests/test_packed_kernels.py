@@ -46,7 +46,7 @@ def assert_pair_matches(product: ProductTensor, bracket: ProductTensor, label=No
     pair equal the int_sum loops; the pair need not be admissible."""
     assert (lie_admissibility_failure(product, bracket)
             == int_sum_lie_admissibility_failure(product, bracket)), label
-    assert (first_curvature_violation(product, bracket.table)
+    assert (first_curvature_violation(product, bracket)
             == int_sum_first_curvature_violation(product, bracket.integral)), label
 
 
@@ -120,7 +120,7 @@ def test_wide_catalog_products(entries):
             assert wp.max_numerator == abs(c) * p.max_numerator, name
             assert_pair_matches(wp, wb, name)
             assert lie_admissibility_failure(wp, wb) is None, name
-            assert (first_curvature_violation(wp, wb.table) is None) == (name != "aff1"), name
+            assert (first_curvature_violation(wp, wb) is None) == (name != "aff1"), name
             assert_associators_match(wp, name)
             assert wp.left_symmetry_violations() == p.left_symmetry_violations(), name
 
@@ -196,7 +196,7 @@ def test_random_wide_pairs(pair):
 def test_dimensions_zero_and_one(n, data):
     p = data.draw(wide_tensors(n))
     assert lie_admissibility_failure(p, p) is None
-    assert first_curvature_violation(p, p.table) is None
+    assert first_curvature_violation(p, p) is None
     assert p.int_associators == int_sum_associators(p)
     assert p.left_symmetry_violations() == ()
     assert p.is_associative()

@@ -2,10 +2,11 @@ import pytest
 
 from symplie.catalog import wedge_form
 from symplie.lie import LieAlgebra
-from symplie.linalg import (Matrix, Subspace, is_zero_vector, subspace_intersect,
-                            unit_vector)
+from symplie.linalg import (Matrix, Subspace, int_matmul, is_zero_vector,
+                            subspace_intersect, unit_vector)
 from symplie.rationals import Q
-from symplie.symplectic import (FlatnessInvariantError, InvalidSymplecticError,
+from symplie.symplectic import (DegenerateFormError, FlatnessInvariantError,
+                                InvalidSymplecticError,
                                 NotLieAdmissibleError, ProductTensor, SkewForm,
                                 SubspaceClass, SymplecticLieAlgebra,
                                 change_of_basis, classify_subspace,
@@ -13,6 +14,7 @@ from symplie.symplectic import (FlatnessInvariantError, InvalidSymplecticError,
                                 multiplication_kernels,
                                 perp, structural_report, symplectic_violations,
                                 validate_symplectic)
+from test_sparse_kernels import dense_bases
 
 STD4 = wedge_form(4, [(1, 2, 1), (3, 4, 1)])
 
@@ -23,11 +25,26 @@ class TestSkewForm:
         assert STD4.pair(unit_vector(4, 1), unit_vector(4, 0)) == Q(-1)
         assert STD4.pair((1, 0, 2, 0), (0, 3, 0, "1/2")) == Q(4)
 
-    def test_dual_of_covector(self):
-        phi = (Q(1), Q(0), Q(-2), Q(5))
-        x = STD4.dual_of_covector(phi)
-        for k in range(4):
-            assert STD4.pair(x, unit_vector(4, k)) == phi[k]
+    def test_int_inverse(self, entries):
+        """The rows of W^-1 over iden times W's numerators over wden give
+        iden wden I, on fresh forms."""
+        forms = [STD4] + [SkewForm(e.algebra.form.matrix) for e in entries.values()]
+        forms += [SkewForm(s.form.matrix) for _, s in dense_bases(entries)]
+        for form in forms:
+            (iden, inv), (wden, w) = form.int_inverse, form.matrix.integral
+            n = form.dim
+            assert int_matmul(inv, w) == [[iden * wden * (i == j) for j in range(n)]
+                                          for i in range(n)]
+
+    def test_degenerate_form_raises(self):
+        form = SkewForm.from_integral(1, [[0, 1, 0, 0], [-1, 0, 0, 0],
+                                          [0, 0, 0, 0], [0, 0, 0, 0]])
+        s = SymplecticLieAlgebra(LieAlgebra.from_integral(("a", "b", "c", "d"), 1, {}),
+                                 form)
+        for read in (lambda: form.int_inverse, lambda: form.adjoint_map(Matrix.identity(4)),
+                     lambda: s.canonical_product):
+            with pytest.raises(DegenerateFormError):
+                read()
 
     def test_adjoint_identity(self):
         f = Matrix.from_rows(
@@ -168,7 +185,7 @@ class TestCanonicalProduct:
             s = entries[name].algebra
             for i in range(s.dim):
                 ad = s.algebra.ad(unit_vector(s.dim, i))
-                expected = (ad - s.adjoint(ad)).scale(Q(1, 3))
+                expected = (ad - s.form.adjoint_map(ad)).scale(Q(1, 3))
                 assert s.canonical_product.left(unit_vector(s.dim, i)) == expected
 
     def test_left_mult_omega_skew(self, entries):
@@ -176,7 +193,7 @@ class TestCanonicalProduct:
             s = entries[name].algebra
             for i in range(s.dim):
                 lu = s.canonical_product.left(unit_vector(s.dim, i))
-                assert s.adjoint(lu) == -lu
+                assert s.form.adjoint_map(lu) == -lu
 
     def test_operator_helpers_match_apply(self, entries):
         s = entries["g6_2"].algebra
@@ -235,7 +252,7 @@ class TestNaturalProduct:
     def test_not_omega_skew_when_nonabelian(self, entries):
         s = entries["aff1"].algebra
         lu = s.natural_product.left(unit_vector(2, 0))
-        assert s.adjoint(lu) != -lu
+        assert s.form.adjoint_map(lu) != -lu
 
     def test_agrees_with_canonical_in_abelian_case(self, entries):
         s = entries["abelian4"].algebra
